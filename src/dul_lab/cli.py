@@ -63,7 +63,11 @@ def _load_cfg(args) -> TrainConfig:
         if not os.path.exists(config):
             print(f"error: config file not found: {config}", file=sys.stderr)
             raise SystemExit(2)
-        cfg = load_config(config)
+        try:
+            cfg = load_config(config)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     else:
         cfg = TrainConfig()
     seed = getattr(args, "seed", None)

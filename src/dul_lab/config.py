@@ -5,7 +5,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,8 +77,12 @@ class TrainConfig:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if not self.eps_grid:
-            raise ValueError("eps_grid must be nonempty")
+        if not self.eps_grid or self.eps_grid[0] != 0.0:
+            raise ValueError("eps_grid must start at 0.0, the clean ID set "
+                             "that noise_sweep measures shifted_du from")
+        # dilemma_table and the full verify run dpn whatever method says
+        if self.target_alpha0 <= self.k:
+            raise ValueError("target_alpha0 must exceed k")
 
     def with_(self, **kwargs) -> "TrainConfig":
         return replace(self, **kwargs)
@@ -93,9 +97,6 @@ _SECTION_KEYS = {
     "data": ("k", "n_per_class", "radius", "sigma", "n_sem_train",
              "n_sem_test", "n_eval_id", "eps_grid", "cov_eval_eps"),
 }
-
-_FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-
 
 def _parse_value(key: str, raw: str):
     if key in ("arch", "eps_grid"):
@@ -112,18 +113,25 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(path) -> TrainConfig:
+    """Parse and validate a config file. Any error (syntax, unknown key, bad
+    value, failed TrainConfig check) is a one-line ValueError that starts
+    with the path."""
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    values = {}
-    for section in parser.sections():
-        if section not in _SECTION_KEYS:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SECTION_KEYS[section]:
-                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-            values[key] = _parse_value(key, raw)
-    return TrainConfig(**values)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+        values = {}
+        for section in parser.sections():
+            if section not in _SECTION_KEYS:
+                raise ValueError(f"unknown section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in _SECTION_KEYS[section]:
+                    raise ValueError(f"unknown key {key!r} in [{section}]")
+                values[key] = _parse_value(key, raw)
+        return TrainConfig(**values)
+    except (ValueError, configparser.Error) as exc:
+        # configparser messages span lines; keep the error to one line
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
 
 
 def save_config(cfg: TrainConfig, path) -> None:

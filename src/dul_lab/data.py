@@ -108,9 +108,9 @@ def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
     test_c = sem_test_centers(k)
     dists = np.linalg.norm(train_c[:, None, :] - test_c[None, :, :], axis=2)
     min_dist = float(dists.min())
-    assert min_dist >= max(4.0 * sigma, 2.0) - 1e-9, (
-        f"semantic train/test centers too close: {min_dist:.3f}"
-    )
+    if min_dist < max(4.0 * sigma, 2.0) - 1e-9:
+        raise ValueError(f"semantic train/test centers too close for sigma={sigma}: "
+                         f"{min_dist:.3f} < max(4 sigma, 2)")
     rng = np.random.Generator(np.random.Philox(key=seed))
     if split == "train":
         idx = rng.integers(0, len(centers), size=n)

@@ -4,6 +4,11 @@ All entropies are in nats. A model's logits are mapped to Dirichlet
 concentration parameters, whose differential entropy serves as the
 distributional-uncertainty measure; the Dirichlet mean is the predicted
 class distribution.
+
+Each formula is written once, as a row kernel (a ``*_rows`` function) over an
+(n, K) array holding one distribution per row. The losses and scores call the
+kernels on whole batches; the functions taking a DirichletParams or a
+SimplexVector are thin wrappers that run a kernel on one row.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
-
-ALPHA_FLOOR = 1e-12
 
 
 def lgamma(x: float) -> float:
@@ -50,7 +53,6 @@ class DirichletParams:
             raise ValueError("alpha must be a 1-D vector with K >= 2")
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0):
             raise ValueError("alpha entries must be finite and positive")
-        alpha = np.maximum(alpha, ALPHA_FLOOR)
         object.__setattr__(self, "alpha", alpha)
         total = float(alpha.sum())
         if self.alpha0 is None:
@@ -84,28 +86,29 @@ class SimplexVector:
         return self.p.size
 
 
-def alpha_from_logits(logits, mapping: str = "relu_plus_one") -> DirichletParams:
-    """Map raw logits to Dirichlet concentrations.
+# -- row kernels: one distribution per row of an (n, K) array -------------
+
+def alpha_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
+    """Map each row of raw logits to Dirichlet concentrations.
 
     relu_plus_one: alpha_k = max(0, f_k) + 1
     exp_relu:      alpha_k = exp(max(0, f_k))
     """
     f = np.asarray(logits, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("logits must be a 1-D vector with K >= 2")
+    if f.ndim != 2 or f.shape[1] < 2:
+        raise ValueError("logits must be an (n, K) array with K >= 2")
     if not np.all(np.isfinite(f)):
         raise ValueError("logits must be finite")
     if mapping == "relu_plus_one":
-        alpha = np.maximum(f, 0.0) + 1.0
-    elif mapping == "exp_relu":
-        alpha = np.exp(np.maximum(f, 0.0))
-    else:
-        raise ValueError(f"unknown alpha mapping: {mapping}")
-    return DirichletParams(alpha)
+        return np.maximum(f, 0.0) + 1.0
+    if mapping == "exp_relu":
+        return np.exp(np.maximum(f, 0.0))
+    raise ValueError(f"unknown alpha mapping: {mapping}")
 
 
-def alpha_mapping_jacobian_diag(logits, mapping: str = "relu_plus_one") -> np.ndarray:
-    """d alpha_k / d f_k (the mapping is elementwise, so the Jacobian is diagonal)."""
+def alpha_jacobian_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
+    """d alpha_k / d f_k per row (the mapping is elementwise, so the
+    Jacobian is diagonal); 0 on the relu kink f_k = 0."""
     f = np.asarray(logits, dtype=float)
     active = (f > 0).astype(float)
     if mapping == "relu_plus_one":
@@ -115,20 +118,88 @@ def alpha_mapping_jacobian_diag(logits, mapping: str = "relu_plus_one") -> np.nd
     raise ValueError(f"unknown alpha mapping: {mapping}")
 
 
+def diff_entropy_rows(alpha: np.ndarray) -> np.ndarray:
+    """Differential entropy of Dir(alpha) per row; higher means flatter."""
+    a0 = alpha.sum(axis=1)
+    return (np.sum(sp.gammaln(alpha), axis=1)
+            - sp.gammaln(a0)
+            - np.sum((alpha - 1.0) * (sp.digamma(alpha) - sp.digamma(a0)[:, None]),
+                     axis=1))
+
+
+def diff_entropy_grad_rows(alpha: np.ndarray) -> np.ndarray:
+    """d h / d alpha_k = -(alpha_k - 1) psi_1(alpha_k) + (alpha0 - K) psi_1(alpha0)."""
+    a0 = alpha.sum(axis=1)
+    k = alpha.shape[1]
+    return (-(alpha - 1.0) * sp.polygamma(1, alpha)
+            + ((a0 - k) * sp.polygamma(1, a0))[:, None])
+
+
+def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+
+
+def kl_dirichlet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """KL(Dir(a_i) || Dir(b_i)) for each pair of rows."""
+    _same_shape(a, b)
+    a0, b0 = a.sum(axis=1), b.sum(axis=1)
+    return (sp.gammaln(a0)
+            - np.sum(sp.gammaln(a), axis=1)
+            - sp.gammaln(b0)
+            + np.sum(sp.gammaln(b), axis=1)
+            + np.sum((a - b) * (sp.digamma(a) - sp.digamma(a0)[:, None]), axis=1))
+
+
+def kl_dirichlet_grad_first_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of kl_dirichlet_rows with respect to the first argument."""
+    _same_shape(a, b)
+    diff = a - b
+    return (diff * sp.polygamma(1, a)
+            - (diff.sum(axis=1) * sp.polygamma(1, a.sum(axis=1)))[:, None])
+
+
+def kl_dirichlet_grad_second_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of kl_dirichlet_rows with respect to the second argument."""
+    _same_shape(a, b)
+    return (sp.digamma(b) - sp.digamma(b.sum(axis=1))[:, None]
+            - (sp.digamma(a) - sp.digamma(a.sum(axis=1))[:, None]))
+
+
+def categorical_entropy_rows(p: np.ndarray) -> np.ndarray:
+    """-sum_k p_k ln p_k per row, with 0 ln 0 := 0."""
+    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return -np.sum(p * logp, axis=1)
+
+
+def total_uncertainty_rows(alpha: np.ndarray) -> np.ndarray:
+    """Entropy of each row's expected categorical alpha / alpha0."""
+    return categorical_entropy_rows(alpha / alpha.sum(axis=1, keepdims=True))
+
+
+# -- scalar API: one distribution, through the row kernels ----------------
+
+def alpha_from_logits(logits, mapping: str = "relu_plus_one") -> DirichletParams:
+    """Dirichlet of one logit vector; see alpha_rows for the mappings."""
+    f = np.asarray(logits, dtype=float)
+    if f.ndim != 1 or f.size < 2:
+        raise ValueError("logits must be a 1-D vector with K >= 2")
+    return DirichletParams(alpha_rows(f[None, :], mapping)[0])
+
+
+def alpha_mapping_jacobian_diag(logits, mapping: str = "relu_plus_one") -> np.ndarray:
+    """d alpha_k / d f_k of one logit vector."""
+    return alpha_jacobian_rows(np.asarray(logits, dtype=float)[None, :], mapping)[0]
+
+
 def diff_entropy(d: DirichletParams) -> float:
     """Differential entropy of Dir(alpha); higher means flatter."""
-    a, a0 = d.alpha, d.alpha0
-    return float(
-        np.sum(sp.gammaln(a))
-        - sp.gammaln(a0)
-        - np.sum((a - 1.0) * (sp.digamma(a) - sp.digamma(a0)))
-    )
+    return float(diff_entropy_rows(d.alpha[None, :])[0])
 
 
 def diff_entropy_grad(d: DirichletParams) -> np.ndarray:
-    """d h / d alpha_k = -(alpha_k - 1) psi_1(alpha_k) + (alpha0 - K) psi_1(alpha0)."""
-    a, a0 = d.alpha, d.alpha0
-    return -(a - 1.0) * sp.polygamma(1, a) + (a0 - d.k) * sp.polygamma(1, a0)
+    """Gradient of diff_entropy with respect to alpha."""
+    return diff_entropy_grad_rows(d.alpha[None, :])[0]
 
 
 def expected_categorical(d: DirichletParams) -> SimplexVector:
@@ -144,7 +215,7 @@ def expected_data_entropy(d: DirichletParams) -> float:
 
 def total_uncertainty(d: DirichletParams) -> float:
     """Entropy of the expected categorical."""
-    return categorical_entropy(expected_categorical(d))
+    return float(total_uncertainty_rows(d.alpha[None, :])[0])
 
 
 def mutual_information(d: DirichletParams) -> float:
@@ -154,9 +225,7 @@ def mutual_information(d: DirichletParams) -> float:
 
 def categorical_entropy(p: SimplexVector) -> float:
     """-sum p_k ln p_k with 0 ln 0 := 0."""
-    q = p.p
-    nz = q > 0
-    return float(-np.sum(q[nz] * np.log(q[nz])))
+    return float(categorical_entropy_rows(p.p[None, :])[0])
 
 
 def kl_categorical(p: SimplexVector, q: SimplexVector) -> float:
@@ -171,30 +240,14 @@ def kl_categorical(p: SimplexVector, q: SimplexVector) -> float:
 
 def kl_dirichlet(a: DirichletParams, b: DirichletParams) -> float:
     """KL(Dir(a) || Dir(b))."""
-    if a.k != b.k:
-        raise ValueError("dimension mismatch")
-    aa, bb = a.alpha, b.alpha
-    return float(
-        sp.gammaln(a.alpha0)
-        - np.sum(sp.gammaln(aa))
-        - sp.gammaln(b.alpha0)
-        + np.sum(sp.gammaln(bb))
-        + np.sum((aa - bb) * (sp.digamma(aa) - sp.digamma(a.alpha0)))
-    )
+    return float(kl_dirichlet_rows(a.alpha[None, :], b.alpha[None, :])[0])
 
 
 def kl_dirichlet_grad_first(a: DirichletParams, b: DirichletParams) -> np.ndarray:
     """Gradient of kl_dirichlet with respect to the first argument's alpha."""
-    if a.k != b.k:
-        raise ValueError("dimension mismatch")
-    diff = a.alpha - b.alpha
-    return diff * sp.polygamma(1, a.alpha) - diff.sum() * sp.polygamma(1, a.alpha0)
+    return kl_dirichlet_grad_first_rows(a.alpha[None, :], b.alpha[None, :])[0]
 
 
 def kl_dirichlet_grad_second(a: DirichletParams, b: DirichletParams) -> np.ndarray:
     """Gradient of kl_dirichlet with respect to the second argument's alpha."""
-    if a.k != b.k:
-        raise ValueError("dimension mismatch")
-    return sp.digamma(b.alpha) - sp.digamma(b.alpha0) - (
-        sp.digamma(a.alpha) - sp.digamma(a.alpha0)
-    )
+    return kl_dirichlet_grad_second_rows(a.alpha[None, :], b.alpha[None, :])[0]

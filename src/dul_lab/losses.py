@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import logsumexp, softmax
 
 from . import dirichlet as dmath
-from .dirichlet import DirichletParams, SimplexVector
 from .nn import Batch, Mlp, grads_zeros_like
 
 LOSS_KINDS = ("ce", "oe", "energy_margin", "dpn", "dul")
@@ -32,7 +31,6 @@ class LossSpec:
     target_alpha0: float = 15.0
     smoothing: float = 0.01
     alpha_mapping: str = "relu_plus_one"
-    constant_h0: float | None = None
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -60,16 +58,14 @@ def ce_loss(logits, labels, dirichlet_mode: bool = False,
         grad = np.exp(logp)
         grad[np.arange(n), y] -= 1.0
         return value, grad / n
-    value = 0.0
-    grad = np.zeros_like(f)
-    for i in range(n):
-        d = dmath.alpha_from_logits(f[i], alpha_mapping)
-        a, a0 = d.alpha, d.alpha0
-        value += -np.log(a[y[i]] / a0)
-        galpha = np.full(k, 1.0 / a0)
-        galpha[y[i]] -= 1.0 / a[y[i]]
-        grad[i] = galpha * dmath.alpha_mapping_jacobian_diag(f[i], alpha_mapping)
-    return float(value / n), grad / n
+    rows = np.arange(n)
+    a = dmath.alpha_rows(f, alpha_mapping)
+    a0 = a.sum(axis=1)
+    value = float(-np.log(a[rows, y] / a0).mean())
+    galpha = np.repeat((1.0 / a0)[:, None], k, axis=1)
+    galpha[rows, y] -= 1.0 / a[rows, y]
+    grad = galpha * dmath.alpha_jacobian_rows(f, alpha_mapping)
+    return value, grad / n
 
 
 def oe_per_sample(logits) -> np.ndarray:
@@ -97,11 +93,6 @@ def energy_scores(logits) -> np.ndarray:
     return -logsumexp(np.asarray(logits, dtype=float), axis=1)
 
 
-def energy_grad_weights(logits) -> SimplexVector:
-    """Per-class softmax factor in the energy-margin gradient (diagnostic)."""
-    return SimplexVector(softmax(np.asarray(logits, dtype=float)))
-
-
 def energy_margin_loss(id_logits, ood_logits, m_in: float, m_out: float):
     """Squared hinge on energies: ID pushed below m_in, outliers above m_out."""
     fi = np.asarray(id_logits, dtype=float)
@@ -119,12 +110,6 @@ def energy_margin_loss(id_logits, ood_logits, m_in: float, m_out: float):
     return value, (gi, go)
 
 
-def _smoothed_onehot(y: int, k: int, smoothing: float) -> np.ndarray:
-    t = np.full(k, smoothing / k)
-    t[y] += 1.0 - smoothing
-    return t
-
-
 def dpn_loss(id_logits, id_labels, ood_logits, target_alpha0: float,
              smoothing: float, alpha_mapping: str = "relu_plus_one"):
     """Dirichlet prior matching: the ID prediction is pulled toward a sharp
@@ -134,35 +119,28 @@ def dpn_loss(id_logits, id_labels, ood_logits, target_alpha0: float,
     fo = np.asarray(ood_logits, dtype=float)
     y = np.asarray(id_labels, dtype=int)
     n, k = fi.shape
+    m = fo.shape[0]
     if target_alpha0 <= k:
         raise ValueError("target_alpha0 must exceed K")
-    flat = DirichletParams(np.ones(k))
-    value = 0.0
-    gi = np.zeros_like(fi)
-    for i in range(n):
-        pred = dmath.alpha_from_logits(fi[i], alpha_mapping)
-        target = DirichletParams(target_alpha0 * _smoothed_onehot(y[i], k, smoothing))
-        value += dmath.kl_dirichlet(target, pred)
-        galpha = dmath.kl_dirichlet_grad_second(target, pred)
-        gi[i] = galpha * dmath.alpha_mapping_jacobian_diag(fi[i], alpha_mapping)
-    value /= n
-    gi /= n
-    go = np.zeros_like(fo)
-    ood_value = 0.0
-    for j in range(fo.shape[0]):
-        pred = dmath.alpha_from_logits(fo[j], alpha_mapping)
-        ood_value += dmath.kl_dirichlet(pred, flat)
-        galpha = dmath.kl_dirichlet_grad_first(pred, flat)
-        go[j] = galpha * dmath.alpha_mapping_jacobian_diag(fo[j], alpha_mapping)
-    value += ood_value / fo.shape[0]
-    go /= fo.shape[0]
+    # smoothed one-hot at the label, scaled to the target strength
+    target = np.full((n, k), smoothing / k)
+    target[np.arange(n), y] += 1.0 - smoothing
+    target = target_alpha0 * target
+    pred = dmath.alpha_rows(fi, alpha_mapping)
+    gi = (dmath.kl_dirichlet_grad_second_rows(target, pred)
+          * dmath.alpha_jacobian_rows(fi, alpha_mapping)) / n
+    pred_o = dmath.alpha_rows(fo, alpha_mapping)
+    flat = np.ones_like(pred_o)
+    go = (dmath.kl_dirichlet_grad_first_rows(pred_o, flat)
+          * dmath.alpha_jacobian_rows(fo, alpha_mapping)) / m
+    value = (np.sum(dmath.kl_dirichlet_rows(target, pred)) / n
+             + np.sum(dmath.kl_dirichlet_rows(pred_o, flat)) / m)
     return float(value), (gi, go)
 
 
 def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
              lam: float, gamma: float, m_out: float, tau: int,
-             alpha_mapping: str = "relu_plus_one",
-             constant_h0: float | None = None):
+             alpha_mapping: str = "relu_plus_one"):
     """Dirichlet-mean ID cross-entropy plus a hinge that raises differential
     entropy on outliers above its frozen-model value by a margin, plus a KL
     anchor keeping the predicted class distribution at its frozen value.
@@ -179,44 +157,26 @@ def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
     value, gi = ce_loss(id_logits, id_labels, dirichlet_mode=True,
                         alpha_mapping=alpha_mapping)
     m = fo.shape[0]
-    go = np.zeros_like(fo)
-    det_value = 0.0
-    kl_value = 0.0
-    for j in range(m):
-        d = dmath.alpha_from_logits(fo[j], alpha_mapping)
-        d0 = dmath.alpha_from_logits(f0[j], alpha_mapping)
-        jac = dmath.alpha_mapping_jacobian_diag(fo[j], alpha_mapping)
-        h = dmath.diff_entropy(d)
-        h0 = dmath.diff_entropy(d0) if constant_h0 is None else constant_h0
-        hinge = max(0.0, (h0 + m_out) - h)
-        det_value += hinge**tau
-        if hinge > 0:
-            galpha = -tau * hinge ** (tau - 1) * dmath.diff_entropy_grad(d)
-            go[j] += lam * (galpha * jac) / m
-        p = dmath.expected_categorical(d)
-        p0 = dmath.expected_categorical(d0)
-        kl_value += dmath.kl_categorical(p, p0)
-        # d KL(p||p0) / d alpha_j = (ln(p_j/p0_j) - KL) / alpha0
-        lr = np.log(p.p) - np.log(p0.p)
-        galpha = (lr - float(np.sum(p.p * lr))) / d.alpha0
-        go[j] += gamma * (galpha * jac) / m
-    value += lam * det_value / m + gamma * kl_value / m
+    a = dmath.alpha_rows(fo, alpha_mapping)
+    a_frozen = dmath.alpha_rows(f0, alpha_mapping)
+    jac = dmath.alpha_jacobian_rows(fo, alpha_mapping)
+    # detection: hinge on the entropy rise over the frozen model's
+    hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + m_out)
+                       - dmath.diff_entropy_rows(a))
+    slope = np.where(hinge > 0, -tau * hinge ** (tau - 1), 0.0)
+    galpha = slope[:, None] * dmath.diff_entropy_grad_rows(a)
+    go = lam * (galpha * jac) / m
+    # anchor: KL from the predicted class distribution to the frozen one
+    a0 = a.sum(axis=1)
+    p = a / a0[:, None]
+    p0 = a_frozen / a_frozen.sum(axis=1, keepdims=True)
+    lr = np.log(p) - np.log(p0)
+    kl = np.sum(p * lr, axis=1)
+    # d KL(p||p0) / d alpha_j = (ln(p_j/p0_j) - KL) / alpha0
+    galpha = (lr - kl[:, None]) / a0[:, None]
+    go += gamma * (galpha * jac) / m
+    value += lam * np.sum(hinge**tau) / m + gamma * np.sum(kl) / m
     return float(value), (gi, go)
-
-
-def dul_detection_term(logits, frozen_logits, m_out: float, tau: int,
-                       alpha_mapping: str = "relu_plus_one",
-                       constant_h0: float | None = None) -> float:
-    """Mean hinge value of the detection term alone (for loss traces)."""
-    fo = np.asarray(logits, dtype=float)
-    f0 = np.asarray(frozen_logits, dtype=float)
-    total = 0.0
-    for j in range(fo.shape[0]):
-        h = dmath.diff_entropy(dmath.alpha_from_logits(fo[j], alpha_mapping))
-        h0 = (dmath.diff_entropy(dmath.alpha_from_logits(f0[j], alpha_mapping))
-              if constant_h0 is None else constant_h0)
-        total += max(0.0, (h0 + m_out) - h) ** tau
-    return total / fo.shape[0]
 
 
 def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
@@ -260,8 +220,7 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
         frozen_logits = frozen.forward(ood_batch)
         value, (gi, go) = dul_loss(id_logits, id_batch.labels, ood_logits,
                                    frozen_logits, spec.lam, spec.gamma,
-                                   spec.m_out, spec.tau, spec.alpha_mapping,
-                                   spec.constant_h0)
+                                   spec.m_out, spec.tau, spec.alpha_mapping)
     else:  # pragma: no cover - guarded by LossSpec
         raise ValueError(f"unknown loss kind {spec.kind!r}")
 

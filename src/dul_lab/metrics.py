@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import softmax
-from scipy.stats import rankdata
 
 from . import dirichlet as dmath
 from .data import LabeledDataset
@@ -47,21 +46,10 @@ def score_logits(logits, method: str, alpha_mapping: str = "relu_plus_one") -> n
     if method == "energy":
         return energy_scores(f)
     if method == "diffent":
-        return np.array([
-            dmath.diff_entropy(dmath.alpha_from_logits(row, alpha_mapping))
-            for row in f
-        ])
+        return dmath.diff_entropy_rows(dmath.alpha_rows(f, alpha_mapping))
     if method == "strength":
-        return np.array([
-            -dmath.alpha_from_logits(row, alpha_mapping).alpha0 for row in f
-        ])
+        return -dmath.alpha_rows(f, alpha_mapping).sum(axis=1)
     raise ValueError(f"unknown scoring method: {method}")
-
-
-def ood_score(m: Mlp, x, method: str, alpha_mapping: str = "relu_plus_one") -> float:
-    """Score a single point."""
-    logits = m.forward(Batch(np.atleast_2d(np.asarray(x, dtype=float))))
-    return float(score_logits(logits, method, alpha_mapping)[0])
 
 
 def fpr_at_95tpr(s: ScoreSet) -> float:
@@ -76,11 +64,13 @@ def fpr_at_95tpr(s: ScoreSet) -> float:
 
 
 def auroc(s: ScoreSet) -> float:
-    """P(ood > id) + half credit for ties, via the rank-sum statistic."""
-    n, m = s.id_scores.size, s.ood_scores.size
-    ranks = rankdata(np.concatenate([s.ood_scores, s.id_scores]))
-    u = ranks[:m].sum() - m * (m + 1) / 2.0
-    return float(u / (n * m))
+    """P(ood > id) + half credit for ties: for each outlier score, the ID
+    scores strictly below it count 1 and those equal to it count 1/2."""
+    ids = np.sort(s.id_scores)
+    below = np.searchsorted(ids, s.ood_scores, side="left")
+    not_above = np.searchsorted(ids, s.ood_scores, side="right")
+    u = (below.sum() + not_above.sum()) / 2.0
+    return float(u / (ids.size * s.ood_scores.size))
 
 
 def aupr(s: ScoreSet) -> float:
@@ -150,11 +140,7 @@ class EvalReport:
 
 def uncertainty_stats(m: Mlp, points, alpha_mapping: str = "relu_plus_one"):
     """(mean differential entropy, mean total uncertainty) over points."""
-    logits = m.forward(Batch(np.asarray(points, dtype=float)))
-    du = np.empty(logits.shape[0])
-    tu = np.empty(logits.shape[0])
-    for i, row in enumerate(logits):
-        d = dmath.alpha_from_logits(row, alpha_mapping)
-        du[i] = dmath.diff_entropy(d)
-        tu[i] = dmath.total_uncertainty(d)
-    return float(du.mean()), float(tu.mean())
+    alpha = dmath.alpha_rows(m.forward(Batch(np.asarray(points, dtype=float))),
+                             alpha_mapping)
+    return (float(dmath.diff_entropy_rows(alpha).mean()),
+            float(dmath.total_uncertainty_rows(alpha).mean()))

@@ -77,6 +77,9 @@ def test_make_semantic_ood_splits():
     assert r_te.max() > datamod.SEM_TEST_RING_RADIUS - 2.0
     with pytest.raises(ValueError):
         datamod.make_semantic_ood("validation", 10)
+    # blobs this wide would let train and test outliers overlap
+    with pytest.raises(ValueError, match="too close"):
+        datamod.make_semantic_ood("train", 10, sigma=5.0)
 
 
 def test_semantic_points_far_from_train_support():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dul_lab import dirichlet as dmath
 from dul_lab.dirichlet import DirichletParams, SimplexVector
@@ -230,3 +231,55 @@ def test_alpha_mapping_floor_property(logits):
     d = dmath.alpha_from_logits(np.array(logits))
     assert np.all(d.alpha >= 1.0)
     assert d.alpha0 >= d.k
+
+
+# logit entries: exactly 0 (the relu kink) or anywhere in [-30, 30]
+LOGITS = st.one_of(st.just(0.0), st.floats(min_value=-30.0, max_value=30.0))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=2, max_value=6),
+       st.sampled_from(["relu_plus_one", "exp_relu"]))
+def test_row_kernels_match_scalar_api_row_by_row(data, n, k, mapping):
+    f = data.draw(arrays(float, (n, k), elements=LOGITS))
+    g = data.draw(arrays(float, (n, k), elements=LOGITS))
+    a = dmath.alpha_rows(f, mapping)
+    b = dmath.alpha_rows(g, mapping)
+    kernels = {
+        "jacobian": dmath.alpha_jacobian_rows(f, mapping),
+        "diff_entropy": dmath.diff_entropy_rows(a),
+        "diff_entropy_grad": dmath.diff_entropy_grad_rows(a),
+        "kl": dmath.kl_dirichlet_rows(a, b),
+        "kl_grad_first": dmath.kl_dirichlet_grad_first_rows(a, b),
+        "kl_grad_second": dmath.kl_dirichlet_grad_second_rows(a, b),
+        "total_uncertainty": dmath.total_uncertainty_rows(a),
+    }
+    for i in range(n):
+        da = dmath.alpha_from_logits(f[i], mapping)
+        db = dmath.alpha_from_logits(g[i], mapping)
+        scalar = {
+            "jacobian": dmath.alpha_mapping_jacobian_diag(f[i], mapping),
+            "diff_entropy": dmath.diff_entropy(da),
+            "diff_entropy_grad": dmath.diff_entropy_grad(da),
+            "kl": dmath.kl_dirichlet(da, db),
+            "kl_grad_first": dmath.kl_dirichlet_grad_first(da, db),
+            "kl_grad_second": dmath.kl_dirichlet_grad_second(da, db),
+            "total_uncertainty": dmath.total_uncertainty(da),
+        }
+        assert np.array_equal(a[i], da.alpha)
+        for name, want in scalar.items():
+            assert np.array_equal(kernels[name][i], want), name
+
+
+def test_row_kernels_reject_bad_input():
+    with pytest.raises(ValueError):
+        dmath.alpha_rows(np.zeros(3))
+    with pytest.raises(ValueError):
+        dmath.alpha_rows(np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        dmath.alpha_rows(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError):
+        dmath.alpha_rows(np.zeros((2, 3)), "softplus")
+    with pytest.raises(ValueError):
+        dmath.kl_dirichlet_rows(np.ones((2, 3)), np.ones((2, 4)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dul_lab import dirichlet as dmath
 from dul_lab import losses
 from dul_lab.losses import LossSpec
 from dul_lab.nn import Batch, mlp_init
@@ -154,14 +155,6 @@ def test_dul_loss_shape_mismatch():
                         lam=1.0, gamma=1.0, m_out=0.5, tau=1)
 
 
-def test_dul_detection_term_zero_when_satisfied():
-    # identical current and frozen logits with a negative margin: no hinge
-    f = np.array([[1.0, 2.0, 0.5]])
-    assert losses.dul_detection_term(f, f, m_out=-0.1, tau=1) == 0.0
-    # positive margin on identical logits: hinge equals the margin
-    assert losses.dul_detection_term(f, f, m_out=0.3, tau=1) == pytest.approx(0.3)
-
-
 def test_loss_backward_requires_labels_and_batches():
     m = mlp_init((2, 4, 3), "tanh", seed=1)
     x = np.zeros((2, 2))
@@ -204,3 +197,100 @@ def test_loss_backward_matches_finite_differences(kind):
             frozen=frozen if kind == "dul" else None)
         fd[i] = (vu - vd) / (2.0 * h)
     assert_close_grads(flat, fd, tol=1e-4)
+
+
+# Per-row references built from the scalar Dirichlet API: one distribution
+# per logit row, accumulated in a Python loop.
+
+def _row_ce(f, y, mapping):
+    n, k = f.shape
+    value, grad = 0.0, np.zeros_like(f)
+    for i in range(n):
+        d = dmath.alpha_from_logits(f[i], mapping)
+        value += -np.log(d.alpha[y[i]] / d.alpha0)
+        galpha = np.full(k, 1.0 / d.alpha0)
+        galpha[y[i]] -= 1.0 / d.alpha[y[i]]
+        grad[i] = galpha * dmath.alpha_mapping_jacobian_diag(f[i], mapping)
+    return value / n, grad / n
+
+
+def _row_dpn(fi, y, fo, target_alpha0, smoothing, mapping):
+    n, k = fi.shape
+    flat = dmath.DirichletParams(np.ones(k))
+    id_value, ood_value = 0.0, 0.0
+    gi, go = np.zeros_like(fi), np.zeros_like(fo)
+    for i in range(n):
+        pred = dmath.alpha_from_logits(fi[i], mapping)
+        t = np.full(k, smoothing / k)
+        t[y[i]] += 1.0 - smoothing
+        target = dmath.DirichletParams(target_alpha0 * t)
+        id_value += dmath.kl_dirichlet(target, pred)
+        gi[i] = (dmath.kl_dirichlet_grad_second(target, pred)
+                 * dmath.alpha_mapping_jacobian_diag(fi[i], mapping))
+    for j in range(fo.shape[0]):
+        pred = dmath.alpha_from_logits(fo[j], mapping)
+        ood_value += dmath.kl_dirichlet(pred, flat)
+        go[j] = (dmath.kl_dirichlet_grad_first(pred, flat)
+                 * dmath.alpha_mapping_jacobian_diag(fo[j], mapping))
+    m = fo.shape[0]
+    return id_value / n + ood_value / m, (gi / n, go / m)
+
+
+def _row_dul(fi, y, fo, f0, lam, gamma, m_out, tau, mapping):
+    value, gi = _row_ce(fi, y, mapping)
+    m = fo.shape[0]
+    go = np.zeros_like(fo)
+    det_value, kl_value = 0.0, 0.0
+    for j in range(m):
+        d = dmath.alpha_from_logits(fo[j], mapping)
+        d0 = dmath.alpha_from_logits(f0[j], mapping)
+        jac = dmath.alpha_mapping_jacobian_diag(fo[j], mapping)
+        hinge = max(0.0, (dmath.diff_entropy(d0) + m_out) - dmath.diff_entropy(d))
+        det_value += hinge**tau
+        if hinge > 0:
+            galpha = -tau * hinge ** (tau - 1) * dmath.diff_entropy_grad(d)
+            go[j] += lam * (galpha * jac) / m
+        p = dmath.expected_categorical(d)
+        p0 = dmath.expected_categorical(d0)
+        kl_value += dmath.kl_categorical(p, p0)
+        lr = np.log(p.p) - np.log(p0.p)
+        galpha = (lr - float(np.sum(p.p * lr))) / d.alpha0
+        go[j] += gamma * (galpha * jac) / m
+    return value + lam * det_value / m + gamma * kl_value / m, (gi, go)
+
+
+def _random_batches(seed, count=25):
+    """Logit batches with some entries exactly on the relu kink at 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(2, 7))
+        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+        fi, fo, f0 = (rng.normal(0.0, 3.0, size=(r, k)) for r in (n, m, m))
+        for f in (fi, fo, f0):
+            f[rng.random(f.shape) < 0.1] = 0.0
+        yield fi, rng.integers(0, k, size=n), fo, f0
+
+
+def _same_value(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("mapping", ["relu_plus_one", "exp_relu"])
+def test_dirichlet_losses_match_per_row_reference(mapping):
+    for fi, y, fo, f0 in _random_batches(53):
+        value, grad = losses.ce_loss(fi, y, dirichlet_mode=True, alpha_mapping=mapping)
+        want_value, want_grad = _row_ce(fi, y, mapping)
+        assert np.array_equal(grad, want_grad)
+        _same_value(value, want_value)
+
+        value, (gi, go) = losses.dpn_loss(fi, y, fo, 15.0, 0.01, mapping)
+        want_value, (want_gi, want_go) = _row_dpn(fi, y, fo, 15.0, 0.01, mapping)
+        assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
+        _same_value(value, want_value)
+
+        for tau in (1, 2):
+            args = (fi, y, fo, f0, 3.0, 30.0, 0.4, tau)
+            value, (gi, go) = losses.dul_loss(*args, alpha_mapping=mapping)
+            want_value, (want_gi, want_go) = _row_dul(*args, mapping)
+            assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
+            _same_value(value, want_value)

@@ -34,6 +34,11 @@ def test_config_validation():
         TrainConfig(activation="gelu")
     with pytest.raises(ValueError):
         TrainConfig(eps_grid=())
+    # values that used to fail mid-run or skew noise_sweep silently
+    for bad in (dict(target_alpha0=3.0), dict(k=15),
+                dict(eps_grid=(1.0, 2.0, 3.0)), dict(eps_grid=(0.5, 0.0))):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
 
 
 def test_config_round_trip(tmp_path):
@@ -50,6 +55,12 @@ def test_config_unknown_key_and_section(tmp_path):
         load_config(path)
     path.write_text("[optimizer]\nlr0 = 0.1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown section"):
+        load_config(path)
+    path.write_text("[loss]\ntarget_alpha0 = 3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.ini: target_alpha0 must exceed k"):
+        load_config(path)
+    path.write_text("lr0 = 0.1\n", encoding="utf-8")  # no section header
+    with pytest.raises(ValueError, match=r"bad\.ini: "):
         load_config(path)
 
 
@@ -173,6 +184,24 @@ def test_cli_missing_config_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--config", str(tmp_path / "nope.ini"), "pretrain"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[loss]\ntarget_alpha0 = 2.5\n",
+    "[data]\neps_grid = 1 2 3\n",
+    "[train]\nbatch_id = many\n",
+    "[train]\nwarmup = 5\n",
+    "lr0 = 0.1\n",  # configparser's own error spans lines
+])
+def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out" / "pretrained.ckpt").exists()
 
 
 def test_cli_global_flags_after_subcommand(tmp_path):
