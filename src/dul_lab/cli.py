@@ -76,6 +76,17 @@ def _load_cfg(args) -> TrainConfig:
     return cfg
 
 
+def _load_model(path):
+    """The checkpoint's model, or None after one error line on stderr."""
+    try:
+        return load_checkpoint(path)
+    except FileNotFoundError:
+        print(f"error: checkpoint not found: {path}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
 def _out_dir(args) -> Path:
     out = getattr(args, "out", None) or os.environ.get("DUL_OUT") or "out"
     path = Path(out)
@@ -115,18 +126,19 @@ def main(argv=None) -> int:
             print("error: finetune needs --method or a config method",
                   file=sys.stderr)
             return 2
-        ckpt = args.checkpoint or out / "pretrained.ckpt"
-        if not os.path.exists(ckpt):
-            print(f"error: checkpoint not found: {ckpt}", file=sys.stderr)
+        base = _load_model(args.checkpoint or out / "pretrained.ckpt")
+        if base is None:
             return 2
-        model = runner.finetune(cfg, load_checkpoint(ckpt))
+        model = runner.finetune(cfg, base)
         path = out / f"finetuned_{cfg.method}.ckpt"
         save_checkpoint(model, path)
         print(f"wrote {path}")
         return 0
 
     if args.command == "eval":
-        model = load_checkpoint(args.checkpoint)
+        model = _load_model(args.checkpoint)
+        if model is None:
+            return 2
         report = runner.evaluate(cfg, model)
         csv_text = report.to_csv()
         (out / "eval_report.csv").write_text(csv_text, encoding="utf-8")
@@ -134,7 +146,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        model = load_checkpoint(args.checkpoint)
+        model = _load_model(args.checkpoint)
+        if model is None:
+            return 2
         csv_text = runner.sweep_csv(runner.noise_sweep(cfg, model))
         (out / "sweep.csv").write_text(csv_text, encoding="utf-8")
         print(csv_text, end="")

@@ -67,6 +67,12 @@ class TrainConfig:
     def __post_init__(self):
         if len(self.arch) < 2 or any(s < 1 for s in self.arch):
             raise ValueError("arch needs at least input and output sizes, all >= 1")
+        if self.arch[0] != 2:
+            raise ValueError("arch must start with 2, the width of the 2-D data")
+        if self.arch[-1] != self.k:
+            raise ValueError("arch must end with k, one logit per class")
+        if self.batch_id < 1 or self.batch_ood < 1:
+            raise ValueError("batch_id and batch_ood must be >= 1")
         if self.pretrain_epochs < 1 or self.finetune_epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.lr0 <= 0 or self.finetune_lr0 <= 0:

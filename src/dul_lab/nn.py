@@ -188,18 +188,25 @@ def save_checkpoint(m: Mlp, path) -> None:
 
 
 def load_checkpoint(path) -> Mlp:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError("not a recognized checkpoint file")
-    activation = lines[1]
-    n_layers = int(lines[2])
-    layers = []
-    pos = 3
-    for _ in range(n_layers):
-        rows, cols = (int(t) for t in lines[pos].split())
-        w = np.array([float.fromhex(t) for t in lines[pos + 1].split()]).reshape(rows, cols)
-        b = np.array([float.fromhex(t) for t in lines[pos + 2].split()])
-        layers.append((w, b))
-        pos += 3
-    return Mlp(layers, activation)
+    """Read a checkpoint. A missing file raises FileNotFoundError; a
+    truncated or garbled one raises a ValueError that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if not lines or lines[0] != CHECKPOINT_MAGIC:
+            raise ValueError("not a recognized checkpoint file")
+        activation = lines[1]
+        n_layers = int(lines[2])
+        layers = []
+        pos = 3
+        for _ in range(n_layers):
+            rows, cols = (int(t) for t in lines[pos].split())
+            w = np.array([float.fromhex(t) for t in lines[pos + 1].split()]).reshape(rows, cols)
+            b = np.array([float.fromhex(t) for t in lines[pos + 2].split()])
+            layers.append((w, b))
+            pos += 3
+        return Mlp(layers, activation)
+    except IndexError:
+        raise ValueError(f"{path}: checkpoint ends early") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from None

@@ -83,13 +83,27 @@ def disparity(samples, f: Mlp, f2: Mlp) -> float:
     return float(_tvd_rows(pa, pb).mean())
 
 
+def _member_softmax(samples, members) -> list:
+    """Each member's softmax predictions on the samples, one forward each."""
+    batch = Batch(samples)
+    return [softmax(f.forward(batch), axis=1) for f in members]
+
+
+def _max_pair_gap(p_probs: list, q_probs: list) -> float:
+    """Max over ordered member pairs of the P disparity minus the Q
+    disparity, from each member's softmax on P and on Q."""
+    best = 0.0  # the identical pair always attains 0
+    for a, b in zip(p_probs, q_probs):
+        for a2, b2 in zip(p_probs, q_probs):
+            gap = float(_tvd_rows(a, a2).mean()) - float(_tvd_rows(b, b2).mean())
+            best = max(best, gap)
+    return best
+
+
 def disparity_discrepancy(p_samples, q_samples, pool: HypothesisPool) -> float:
     """Max over ordered model pairs of disparity(P) - disparity(Q)."""
-    best = 0.0  # the identical pair always attains 0
-    for f in pool.members:
-        for f2 in pool.members:
-            best = max(best, disparity(p_samples, f, f2) - disparity(q_samples, f, f2))
-    return best
+    return _max_pair_gap(_member_softmax(p_samples, pool.members),
+                         _member_softmax(q_samples, pool.members))
 
 
 def lemma2_check(ood_logits) -> dict:
@@ -132,11 +146,11 @@ def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
     logp = logits_cov - logsumexp(logits_cov, axis=1, keepdims=True)
     gerror = float(-logp[np.arange(cov.n), cov.labels].mean())
 
+    probs_cov = _member_softmax(cov.points, pool.members)
+    probs_sem = _member_softmax(sem.points, pool.members)
     uniform = np.full(k, 1.0 / k)
     lambda_const = np.inf
-    for f in pool.members:
-        pc = softmax(f.forward(Batch(cov.points)), axis=1)
-        ps = softmax(f.forward(Batch(sem.points)), axis=1)
+    for pc, ps in zip(probs_cov, probs_sem):
         val = float(_tvd_rows(pc, uniform[None, :]).mean()
                     + _tvd_rows(ps, uniform[None, :]).mean())
         lambda_const = min(lambda_const, val)
@@ -147,7 +161,7 @@ def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
     sem_logits = model.forward(Batch(sem.points))
     slack = np.maximum(oe_per_sample(sem_logits) - np.log(k), 0.0)
     detect_term = float(np.sqrt(2.0 * slack).mean())
-    d_ff = disparity_discrepancy(cov.points, sem.points, pool)
+    d_ff = _max_pair_gap(probs_cov, probs_sem)
     lower_bound = c_const - detect_term - 2.0 * d_ff
     return BoundReport(
         gerror=gerror,

@@ -135,5 +135,23 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("not a checkpoint\n", encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad.ckpt: bad checkpoint: not a recognized"):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_missing_file_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        nn.load_checkpoint(tmp_path / "nope.ckpt")
+
+
+def test_checkpoint_truncated_or_garbled_raises_value_error(tmp_path):
+    m = nn.mlp_init((2, 4, 3), "tanh", seed=9)
+    path = tmp_path / "model.ckpt"
+    nn.save_checkpoint(m, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # cut after the header, inside the first layer, and with a garbled shape
+    for text in ("".join(lines[:3]), "".join(lines[:5]),
+                 "".join(lines[:3]) + "4\n" + "".join(lines[4:])):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="model.ckpt: "):
+            nn.load_checkpoint(path)

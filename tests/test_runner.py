@@ -34,9 +34,13 @@ def test_config_validation():
         TrainConfig(activation="gelu")
     with pytest.raises(ValueError):
         TrainConfig(eps_grid=())
-    # values that used to fail mid-run or skew noise_sweep silently
+    # values that used to fail mid-run, skew noise_sweep or train the wrong
+    # head silently: the data are 2-D and the head needs one logit per class
     for bad in (dict(target_alpha0=3.0), dict(k=15),
-                dict(eps_grid=(1.0, 2.0, 3.0)), dict(eps_grid=(0.5, 0.0))):
+                dict(eps_grid=(1.0, 2.0, 3.0)), dict(eps_grid=(0.5, 0.0)),
+                dict(arch=(3, 8, 3)), dict(arch=(2, 8, 5)),
+                dict(k=4), dict(batch_id=0),
+                dict(batch_ood=0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
@@ -190,6 +194,8 @@ def test_cli_missing_config_exits_2(tmp_path):
     "[loss]\ntarget_alpha0 = 2.5\n",
     "[data]\neps_grid = 1 2 3\n",
     "[train]\nbatch_id = many\n",
+    "[train]\nbatch_id = 0\n",
+    "[train]\narch = 2 8 5\n",
     "[train]\nwarmup = 5\n",
     "lr0 = 0.1\n",  # configparser's own error spans lines
 ])
@@ -215,3 +221,18 @@ def test_cli_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "finetune"])
+@pytest.mark.parametrize("content", [None, "dul-mlp-v1\ntanh\n2\n"])
+def test_cli_bad_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, content):
+    ckpt = tmp_path / "model.ckpt"
+    if content is None:
+        expected = f"error: checkpoint not found: {ckpt}\n"
+    else:
+        ckpt.write_text(content, encoding="utf-8")  # cut after the header
+        expected = f"error: {ckpt}: checkpoint ends early\n"
+    extra = ["--method", "oe"] if command == "finetune" else []
+    rc = cli.main([command, "--checkpoint", str(ckpt), "--out", str(tmp_path)] + extra)
+    assert rc == 2
+    assert capsys.readouterr().err == expected

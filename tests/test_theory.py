@@ -9,7 +9,7 @@ from scipy.special import softmax
 from dul_lab import theory
 from dul_lab.data import LabeledDataset, make_id_blobs, make_semantic_ood
 from dul_lab.dirichlet import SimplexVector
-from dul_lab.nn import Batch, mlp_init
+from dul_lab.nn import Batch, Mlp, mlp_init
 from dul_lab.theory import HypothesisPool
 
 
@@ -124,3 +124,72 @@ def test_theorem1_bound_holds_on_untrained_models():
     with pytest.raises(ValueError):
         theory.theorem1_bound(
             LabeledDataset(cov.points, None, "SEM_TEST"), sem, model, pool)
+
+
+def _random_pool(n_members, seed):
+    return HypothesisPool(tuple(mlp_init((2, 8, 3), "tanh", seed=seed + s)
+                                for s in range(n_members)))
+
+
+def test_disparity_discrepancy_equals_pairwise_disparity():
+    rng = np.random.default_rng(68)
+    x = rng.standard_normal((40, 2))
+    y = rng.standard_normal((50, 2)) + 1.5
+    pool = _random_pool(5, seed=20)
+    oracle = max(theory.disparity(x, f, f2) - theory.disparity(y, f, f2)
+                 for f in pool.members for f2 in pool.members)
+    got = theory.disparity_discrepancy(x, y, pool)
+    assert got > 0.0
+    assert got == max(0.0, oracle)
+
+
+def _bound_terms_reference(cov, sem, members):
+    """(d_ff, lambda_const) from the one-pair disparity and per-member forwards."""
+    d_ff = 0.0
+    for f in members:
+        for f2 in members:
+            d_ff = max(d_ff, theory.disparity(cov.points, f, f2)
+                       - theory.disparity(sem.points, f, f2))
+    lam = np.inf
+    uniform = np.full((1, 3), 1.0 / 3.0)
+    for f in members:
+        pc = softmax(f.forward(Batch(cov.points)), axis=1)
+        ps = softmax(f.forward(Batch(sem.points)), axis=1)
+        lam = min(lam, float(0.5 * np.abs(pc - uniform).sum(axis=1).mean()
+                             + 0.5 * np.abs(ps - uniform).sum(axis=1).mean()))
+    return d_ff, lam
+
+
+# scale None: the model is a pool member. Otherwise it is a scaled copy of
+# one member and not in the pool: sharpened (2.0) it raises d_ff, damped
+# toward uniform (0.2) it lowers lambda_const.
+@pytest.mark.parametrize("scale", [None, 2.0, 0.2])
+def test_theorem1_bound_terms_equal_pairwise_reference(scale):
+    cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
+    cov = LabeledDataset(cov.points, cov.labels, "COV", noise_eps=1.0)
+    sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
+    pool = _random_pool(4, seed=30)
+    pool_terms = _bound_terms_reference(cov, sem, pool.members)
+    if scale is None:
+        model, terms = pool.members[2], pool_terms
+    else:
+        model = pool.members[1].set_flat(scale * pool.members[1].get_flat())
+        terms = _bound_terms_reference(cov, sem, pool.members + (model,))
+        assert terms != pool_terms  # the appended model must matter
+    rep = theory.theorem1_bound(cov, sem, model, pool)
+    assert (rep.d_ff, rep.lambda_const) == terms
+
+
+def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
+    # one forward per member per sample set, plus the model's own two
+    cov = make_id_blobs(3, 30, sigma=0.75, seed=77)
+    cov = LabeledDataset(cov.points, cov.labels, "COV", noise_eps=1.0)
+    sem = make_semantic_ood("test", 40, seed=78, sigma=0.75)
+    pool = _random_pool(6, seed=40)
+    model = mlp_init((2, 8, 3), "tanh", seed=79)
+    calls = []
+    real = Mlp.forward_cache
+    monkeypatch.setattr(Mlp, "forward_cache",
+                        lambda self, x: calls.append(1) or real(self, x))
+    theory.theorem1_bound(cov, sem, model, pool)
+    assert 0 < len(calls) <= 2 * (pool.size + 1) + 2
