@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import runner
-from .config import TrainConfig, load_config
+from .config import METHODS, TrainConfig, load_config
 from .nn import load_checkpoint, save_checkpoint
 
 
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="train the base classifier on ID data")
     ft = sub.add_parser("finetune", parents=[common],
                         help="finetune a pretrained checkpoint")
-    ft.add_argument("--method", type=str, default=None,
+    ft.add_argument("--method", choices=METHODS[1:], default=None,
                     help="override the config method")
     ft.add_argument("--checkpoint", type=str, default=None,
                     help="pretrained checkpoint (default: <out>/pretrained.ckpt)")
@@ -59,32 +59,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args) -> TrainConfig:
     config = getattr(args, "config", None)
-    if config is not None:
-        if not os.path.exists(config):
-            print(f"error: config file not found: {config}", file=sys.stderr)
-            raise SystemExit(2)
-        try:
-            cfg = load_config(config)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
-    else:
-        cfg = TrainConfig()
+    if config is not None and not os.path.exists(config):
+        print(f"error: config file not found: {config}", file=sys.stderr)
+        raise SystemExit(2)
     seed = getattr(args, "seed", None)
-    if seed is not None:
-        cfg = cfg.with_(seed=seed)
-    return cfg
+    try:
+        cfg = TrainConfig() if config is None else load_config(config)
+        return cfg if seed is None else cfg.with_(seed=seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+class _UsageError(Exception):
+    """A bad argument or input file found after config load (exit 2)."""
 
 
 def _load_model(path):
-    """The checkpoint's model, or None after one error line on stderr."""
     try:
         return load_checkpoint(path)
     except FileNotFoundError:
-        print(f"error: checkpoint not found: {path}", file=sys.stderr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None
+        raise _UsageError(f"checkpoint not found: {path}") from None
+    except (ValueError, OSError) as exc:  # damaged, or a directory
+        raise _UsageError(str(exc)) from None
 
 
 def _out_dir(args) -> Path:
@@ -94,12 +91,14 @@ def _out_dir(args) -> Path:
     return path
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def _save(model, path) -> int:
+    save_checkpoint(model, path)
+    print(f"wrote {path}")
+    return 0
 
+
+def _run(args, cfg: TrainConfig) -> int:
+    out = _out_dir(args)
     if args.command == "gen-data":
         id_train, sem_train = runner.make_datasets(cfg)
         id_eval, cov, sem_test = runner.make_eval_datasets(cfg)
@@ -111,70 +110,45 @@ def main(argv=None) -> int:
             datamod.write_dataset_csv(out / f"cov_eps{eps:g}.csv", d)
         print(f"wrote datasets to {out}")
         return 0
-
     if args.command == "pretrain":
-        model = runner.pretrain(cfg)
-        path = out / "pretrained.ckpt"
-        save_checkpoint(model, path)
-        print(f"wrote {path}")
-        return 0
-
+        return _save(runner.pretrain(cfg), out / "pretrained.ckpt")
     if args.command == "finetune":
         if args.method is not None:
             cfg = cfg.with_(method=args.method)
         if cfg.method == "none":
-            print("error: finetune needs --method or a config method",
-                  file=sys.stderr)
-            return 2
+            raise _UsageError("finetune needs --method or a config method")
         base = _load_model(args.checkpoint or out / "pretrained.ckpt")
-        if base is None:
-            return 2
-        model = runner.finetune(cfg, base)
-        path = out / f"finetuned_{cfg.method}.ckpt"
-        save_checkpoint(model, path)
-        print(f"wrote {path}")
-        return 0
-
-    if args.command == "eval":
-        model = _load_model(args.checkpoint)
-        if model is None:
-            return 2
-        report = runner.evaluate(cfg, model)
-        csv_text = report.to_csv()
-        (out / "eval_report.csv").write_text(csv_text, encoding="utf-8")
-        print(csv_text, end="")
-        return 0
-
-    if args.command == "sweep":
-        model = _load_model(args.checkpoint)
-        if model is None:
-            return 2
-        csv_text = runner.sweep_csv(runner.noise_sweep(cfg, model))
-        (out / "sweep.csv").write_text(csv_text, encoding="utf-8")
-        print(csv_text, end="")
-        return 0
-
+        return _save(runner.finetune(cfg, base), out / f"finetuned_{cfg.method}.ckpt")
     if args.command == "verify":
         checks = runner.verify(cfg, quick=args.quick)
-        csv_text = runner.verify_csv(checks)
-        (out / "verify.csv").write_text(csv_text, encoding="utf-8")
-        failures = 0
+        (out / "verify.csv").write_text(runner.verify_csv(checks), encoding="utf-8")
         for name, lhs, rhs, ok in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name} (lhs={lhs}, rhs={rhs})")
-            failures += not ok
-        return 1 if failures else 0
-
-    if args.command == "repro-dilemma":
+        return 0 if all(ok for *_, ok in checks) else 1
+    if args.command == "eval":
+        name, csv_text = "eval_report.csv", runner.evaluate(
+            cfg, _load_model(args.checkpoint)).to_csv()
+    elif args.command == "sweep":
+        name, csv_text = "sweep.csv", runner.sweep_csv(
+            runner.noise_sweep(cfg, _load_model(args.checkpoint)))
+    else:  # repro-dilemma
         rows, models = runner.dilemma_table(cfg)
-        csv_text = runner.dilemma_csv(rows)
-        (out / "dilemma.csv").write_text(csv_text, encoding="utf-8")
         for method, model in models.items():
             save_checkpoint(model, out / f"dilemma_{method}.ckpt")
-        print(csv_text, end="")
-        return 0
+        name, csv_text = "dilemma.csv", runner.dilemma_csv(rows)
+    (out / name).write_text(csv_text, encoding="utf-8")
+    print(csv_text, end="")
+    return 0
 
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    cfg = _load_cfg(args)
+    try:
+        return _run(args, cfg)
+    except (_UsageError, ValueError, FloatingPointError, OSError) as exc:
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2 if isinstance(exc, _UsageError) else 1
 
 
 if __name__ == "__main__":

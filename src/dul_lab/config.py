@@ -1,18 +1,25 @@
 """Run configuration: a flat key = value file with [train], [data], and
-[loss] sections. Unknown keys are errors, so typos fail loudly.
+[loss] sections. TrainConfig is the schema: each field names its section,
+and its default's type is the type its value is parsed as. Unknown keys are
+errors, so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+
+from .data import check_sem_separation
+from .losses import LossSpec
+from .nn import ACTIVATIONS
 
 SCHEDULES = ("constant", "cosine")
 METHODS = ("none", "oe", "energy", "dpn", "dul")
 
-# substream purposes for the counter-based RNG (Philox, key = seed*256 + purpose)
+# substream purposes for the counter-based RNG (Philox, key = stream_key)
 STREAM_INIT = 0
 STREAM_ID_DATA = 1
 STREAM_SEM_TRAIN = 2
@@ -23,48 +30,64 @@ STREAM_POOL = 6
 STREAM_EVAL_ID = 7
 
 
+def stream_key(seed: int, purpose: int) -> int:
+    """Philox key of a substream; distinct for each (seed, purpose < 256)."""
+    return seed * 256 + purpose
+
+
 def substream(seed: int, purpose: int) -> np.random.Generator:
     """Philox counter-based generator; substreams are disjoint by key."""
-    return np.random.Generator(np.random.Philox(key=seed * 256 + purpose))
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, purpose)))
+
+
+def _key(section: str, default):
+    """A config key: its default and the [section] it is saved under."""
+    return field(default=default, metadata={"section": section})
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    # [train]
-    arch: tuple = (2, 64, 64, 3)
-    activation: str = "tanh"
-    seed: int = 1
-    pretrain_epochs: int = 200
-    finetune_epochs: int = 60
-    lr0: float = 0.05
-    finetune_lr0: float = 0.01
-    momentum: float = 0.9
-    schedule: str = "cosine"
-    batch_id: int = 128
-    batch_ood: int = 256
-    method: str = "none"
-    # [loss]
-    lam: float = 3.0
-    gamma: float = 30.0
-    m_in: float = -12.0
-    m_out: float = -4.0
-    tau: int = 1
-    dul_margin: float = 0.4
-    target_alpha0: float = 15.0
-    smoothing: float = 0.01
-    alpha_mapping: str = "relu_plus_one"
-    # [data]
-    k: int = 3
-    n_per_class: int = 500
-    radius: float = 4.0
-    sigma: float = 0.75
-    n_sem_train: int = 1500
-    n_sem_test: int = 1500
-    n_eval_id: int = 1500
-    eps_grid: tuple = (0.0, 0.625, 1.25, 1.875, 2.5, 3.125)
-    cov_eval_eps: float = 3.125
+    arch: tuple = _key("train", (2, 64, 64, 3))
+    activation: str = _key("train", "tanh")
+    seed: int = _key("train", 1)
+    pretrain_epochs: int = _key("train", 200)
+    finetune_epochs: int = _key("train", 60)
+    lr0: float = _key("train", 0.05)
+    finetune_lr0: float = _key("train", 0.01)
+    momentum: float = _key("train", 0.9)
+    schedule: str = _key("train", "cosine")
+    batch_id: int = _key("train", 128)
+    batch_ood: int = _key("train", 256)
+    method: str = _key("train", "none")
+    lam: float = _key("loss", 3.0)
+    gamma: float = _key("loss", 30.0)
+    m_in: float = _key("loss", -12.0)
+    m_out: float = _key("loss", -4.0)
+    tau: int = _key("loss", 1)
+    dul_margin: float = _key("loss", 0.4)
+    target_alpha0: float = _key("loss", 15.0)
+    smoothing: float = _key("loss", 0.01)
+    alpha_mapping: str = _key("loss", "relu_plus_one")
+    k: int = _key("data", 3)
+    n_per_class: int = _key("data", 500)
+    radius: float = _key("data", 4.0)
+    sigma: float = _key("data", 0.75)
+    n_sem_train: int = _key("data", 1500)
+    n_sem_test: int = _key("data", 1500)
+    n_eval_id: int = _key("data", 1500)
+    eps_grid: tuple = _key("data", (0.0, 0.625, 1.25, 1.875, 2.5, 3.125))
+    cov_eval_eps: float = _key("data", 3.125)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"{f.name} must be finite")
+        if not 0 <= self.seed < 2**120:
+            raise ValueError("seed must be in [0, 2**120), so that stream keys fit Philox")
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if len(self.arch) < 2 or any(s < 1 for s in self.arch):
             raise ValueError("arch needs at least input and output sizes, all >= 1")
         if self.arch[0] != 2:
@@ -77,15 +100,27 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr0 <= 0 or self.finetune_lr0 <= 0:
             raise ValueError("learning rates must be positive")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError("activation must be 'relu' or 'tanh'")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if min(self.n_per_class, self.n_sem_train, self.n_sem_test) < 1:
+            raise ValueError("n_per_class, n_sem_train and n_sem_test must be >= 1")
+        if self.n_eval_id < 1 or self.n_eval_id % self.k:
+            raise ValueError("n_eval_id must be a positive multiple of k")
         if not self.eps_grid or self.eps_grid[0] != 0.0:
             raise ValueError("eps_grid must start at 0.0, the clean ID set "
                              "that noise_sweep measures shifted_du from")
+        if min(self.eps_grid) < 0:
+            raise ValueError("eps_grid must be nonnegative")
+        if self.cov_eval_eps not in self.eps_grid:
+            raise ValueError("cov_eval_eps must be one of eps_grid")
+        check_sem_separation(self.k, self.sigma)
+        # the loss rules live in LossSpec; every method's spec shares these
+        LossSpec(kind="dul", lam=self.lam, gamma=self.gamma, tau=self.tau,
+                 smoothing=self.smoothing, alpha_mapping=self.alpha_mapping)
         # dilemma_table and the full verify run dpn whatever method says
         if self.target_alpha0 <= self.k:
             raise ValueError("target_alpha0 must exceed k")
@@ -94,46 +129,32 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
-_SECTION_KEYS = {
-    "train": ("arch", "activation", "seed", "pretrain_epochs", "finetune_epochs", "lr0",
-              "finetune_lr0", "momentum", "schedule", "batch_id", "batch_ood",
-              "method"),
-    "loss": ("lam", "gamma", "m_in", "m_out", "tau", "dul_margin",
-             "target_alpha0", "smoothing", "alpha_mapping"),
-    "data": ("k", "n_per_class", "radius", "sigma", "n_sem_train",
-             "n_sem_test", "n_eval_id", "eps_grid", "cov_eval_eps"),
-}
-
-def _parse_value(key: str, raw: str):
-    if key in ("arch", "eps_grid"):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        return tuple(int(p) for p in parts) if key == "arch" else tuple(
-            float(p) for p in parts)
-    if key in ("schedule", "method", "alpha_mapping", "activation"):
-        return raw.strip()
-    if key in ("seed", "pretrain_epochs", "finetune_epochs", "batch_id",
-               "batch_ood", "tau", "k", "n_per_class", "n_sem_train",
-               "n_sem_test", "n_eval_id"):
-        return int(raw)
-    return float(raw)
+def _parse(default, raw: str):
+    """raw as the type of a field's default; a tuple's items take the type
+    of the default's first item."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(p) for p in raw.replace(",", " ").split())
+    return type(default)(raw)
 
 
 def load_config(path) -> TrainConfig:
     """Parse and validate a config file. Any error (syntax, unknown key, bad
     value, failed TrainConfig check) is a one-line ValueError that starts
     with the path."""
+    schema = {f.name: f for f in fields(TrainConfig)}
+    sections = {f.metadata["section"] for f in schema.values()}
     parser = configparser.ConfigParser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
         values = {}
         for section in parser.sections():
-            if section not in _SECTION_KEYS:
+            if section not in sections:
                 raise ValueError(f"unknown section [{section}]")
             for key, raw in parser.items(section):
-                if key not in _SECTION_KEYS[section]:
+                if key not in schema or schema[key].metadata["section"] != section:
                     raise ValueError(f"unknown key {key!r} in [{section}]")
-                values[key] = _parse_value(key, raw)
+                values[key] = _parse(schema[key].default, raw)
         return TrainConfig(**values)
     except (ValueError, configparser.Error) as exc:
         # configparser messages span lines; keep the error to one line
@@ -141,13 +162,12 @@ def load_config(path) -> TrainConfig:
 
 
 def save_config(cfg: TrainConfig, path) -> None:
+    sections = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        sections.setdefault(f.metadata["section"], {})[f.name] = (
+            " ".join(str(x) for x in v) if isinstance(v, tuple) else v)
     parser = configparser.ConfigParser()
-    for section, keys in _SECTION_KEYS.items():
-        parser[section] = {}
-        for key in keys:
-            v = getattr(cfg, key)
-            if isinstance(v, tuple):
-                v = " ".join(str(x) for x in v)
-            parser[section][key] = str(v)
+    parser.read_dict(sections)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         parser.write(fh)

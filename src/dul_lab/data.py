@@ -93,6 +93,18 @@ def sem_test_centers(k: int = 3) -> np.ndarray:
     return np.concatenate([midway, ring])
 
 
+def check_sem_separation(k: int, sigma: float) -> None:
+    """Raise ValueError unless every semantic train center is at least
+    max(4 sigma, 2) from every test center, which keeps the splits disjoint."""
+    train_c = sem_train_centers(k)
+    test_c = sem_test_centers(k)
+    dists = np.linalg.norm(train_c[:, None, :] - test_c[None, :, :], axis=2)
+    min_dist = float(dists.min())
+    if min_dist < max(4.0 * sigma, 2.0) - 1e-9:
+        raise ValueError(f"semantic train/test centers too close for sigma={sigma}: "
+                         f"{min_dist:.3f} < max(4 sigma, 2)")
+
+
 def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
                       sigma: float = 0.75) -> LabeledDataset:
     """Semantic outlier blobs; train and test supports are region-disjoint."""
@@ -104,13 +116,7 @@ def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
         tag = "SEM_TEST"
     else:
         raise ValueError("split must be 'train' or 'test'")
-    train_c = sem_train_centers(k)
-    test_c = sem_test_centers(k)
-    dists = np.linalg.norm(train_c[:, None, :] - test_c[None, :, :], axis=2)
-    min_dist = float(dists.min())
-    if min_dist < max(4.0 * sigma, 2.0) - 1e-9:
-        raise ValueError(f"semantic train/test centers too close for sigma={sigma}: "
-                         f"{min_dist:.3f} < max(4 sigma, 2)")
+    check_sem_separation(k, sigma)
     rng = np.random.Generator(np.random.Philox(key=seed))
     if split == "train":
         idx = rng.integers(0, len(centers), size=n)

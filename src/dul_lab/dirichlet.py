@@ -88,6 +88,9 @@ class SimplexVector:
 
 # -- row kernels: one distribution per row of an (n, K) array -------------
 
+ALPHA_MAPPINGS = ("relu_plus_one", "exp_relu")
+
+
 def alpha_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
     """Map each row of raw logits to Dirichlet concentrations.
 
@@ -103,7 +106,7 @@ def alpha_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
         return np.maximum(f, 0.0) + 1.0
     if mapping == "exp_relu":
         return np.exp(np.maximum(f, 0.0))
-    raise ValueError(f"unknown alpha mapping: {mapping}")
+    raise ValueError(f"alpha mapping must be one of {ALPHA_MAPPINGS}, got {mapping!r}")
 
 
 def alpha_jacobian_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
@@ -115,7 +118,7 @@ def alpha_jacobian_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
         return active
     if mapping == "exp_relu":
         return active * np.exp(np.maximum(f, 0.0))
-    raise ValueError(f"unknown alpha mapping: {mapping}")
+    raise ValueError(f"alpha mapping must be one of {ALPHA_MAPPINGS}, got {mapping!r}")
 
 
 def diff_entropy_rows(alpha: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ class LossSpec:
             raise ValueError("tau must be 1 or 2")
         if not 0.0 <= self.smoothing < 0.5:
             raise ValueError("smoothing must be in [0, 0.5)")
+        if self.alpha_mapping not in dmath.ALPHA_MAPPINGS:
+            raise ValueError(f"alpha_mapping must be one of {dmath.ALPHA_MAPPINGS}")
 
 
 def ce_loss(logits, labels, dirichlet_mode: bool = False,

@@ -6,7 +6,6 @@ means "more likely out-of-distribution".
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +102,15 @@ def accuracy(m: Mlp, d: LabeledDataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == d.labels))
 
 
+def csv_table(columns, rows) -> str:
+    """CSV text of a header line and one line per row: floats as %.6f,
+    other cells with str."""
+    lines = [",".join(columns)]
+    lines += [",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 EVAL_CSV_COLUMNS = [
     "method", "fpr95", "auroc", "aupr", "id_acc", "cov_acc",
     "mean_du_id", "mean_du_cov", "mean_du_sem",
@@ -121,21 +129,12 @@ class EvalReport:
     uncertainty: dict = field(default_factory=dict)  # tag -> (mean_du, mean_total)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(EVAL_CSV_COLUMNS) + "\n")
-        du = {t: self.uncertainty.get(t, (float("nan"),) * 2) for t in
-              ("ID", "COV", "SEM_TEST")}
-        for method in sorted(self.detection):
-            fpr95, roc, pr = self.detection[method]
-            row = [method] + [
-                f"{v:.6f}" for v in (
-                    fpr95, roc, pr, self.id_acc, self.cov_acc,
-                    du["ID"][0], du["COV"][0], du["SEM_TEST"][0],
-                    du["ID"][1], du["COV"][1], du["SEM_TEST"][1],
-                )
-            ]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        du = [self.uncertainty.get(t, (float("nan"),) * 2) for t in
+              ("ID", "COV", "SEM_TEST")]
+        return csv_table(EVAL_CSV_COLUMNS, (
+            [method, *self.detection[method], self.id_acc, self.cov_acc,
+             *(d[0] for d in du), *(d[1] for d in du)]
+            for method in sorted(self.detection)))
 
 
 def uncertainty_stats(m: Mlp, points, alpha_mapping: str = "relu_plus_one"):

@@ -10,10 +10,10 @@ from . import dirichlet as dmath
 from . import losses as lossmod
 from . import metrics as metmod
 from . import theory as thmod
-from .config import TrainConfig, substream
+from .config import METHODS, TrainConfig, stream_key, substream
 from .data import LabeledDataset
 from .losses import LossSpec
-from .metrics import EvalReport, ScoreSet
+from .metrics import EvalReport, ScoreSet, csv_table
 from .nn import Batch, Mlp, cosine_lr, mlp_init, sgd_step
 
 # each method's natural detector
@@ -30,9 +30,9 @@ def make_datasets(cfg: TrainConfig):
     """Training datasets: labeled ID blobs and the semantic outlier pool."""
     id_train = datamod.make_id_blobs(
         cfg.k, cfg.n_per_class, cfg.radius, cfg.sigma,
-        seed=cfg.seed * 256 + cfgmod.STREAM_ID_DATA)
+        seed=stream_key(cfg.seed, cfgmod.STREAM_ID_DATA))
     sem_train = datamod.make_semantic_ood(
-        "train", cfg.n_sem_train, seed=cfg.seed * 256 + cfgmod.STREAM_SEM_TRAIN,
+        "train", cfg.n_sem_train, seed=stream_key(cfg.seed, cfgmod.STREAM_SEM_TRAIN),
         k=cfg.k, sigma=cfg.sigma)
     return id_train, sem_train
 
@@ -44,12 +44,12 @@ def make_eval_datasets(cfg: TrainConfig):
     """
     id_eval = datamod.make_id_blobs(
         cfg.k, cfg.n_eval_id // cfg.k, cfg.radius, cfg.sigma,
-        seed=cfg.seed * 256 + cfgmod.STREAM_EVAL_ID)
-    cov = {eps: datamod.perturb_covariate(id_eval, eps,
-                                          seed=cfg.seed * 256 + cfgmod.STREAM_COV)
+        seed=stream_key(cfg.seed, cfgmod.STREAM_EVAL_ID))
+    cov = {eps: datamod.perturb_covariate(
+               id_eval, eps, seed=stream_key(cfg.seed, cfgmod.STREAM_COV))
            for eps in cfg.eps_grid}
     sem_test = datamod.make_semantic_ood(
-        "test", cfg.n_sem_test, seed=cfg.seed * 256 + cfgmod.STREAM_SEM_TEST,
+        "test", cfg.n_sem_test, seed=stream_key(cfg.seed, cfgmod.STREAM_SEM_TEST),
         k=cfg.k, sigma=cfg.sigma)
     return id_eval, cov, sem_test
 
@@ -71,15 +71,13 @@ def _epoch_lr(cfg: TrainConfig, epoch: int, total: int, lr0: float) -> float:
 def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
                 spec: LossSpec, epochs: int, lr0: float,
                 sem_data: LabeledDataset | None = None,
-                frozen: Mlp | None = None, trace: list | None = None) -> Mlp:
+                frozen: Mlp | None = None) -> Mlp:
     rng = substream(cfg.seed, cfgmod.STREAM_BATCH)
     velocity = None
     n = id_data.n
     for epoch in range(epochs):
         lr = _epoch_lr(cfg, epoch, epochs, lr0)
         order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_steps = 0
         for start in range(0, n, cfg.batch_id):
             idx = order[start:start + cfg.batch_id]
             batch = Batch(id_data.points[idx], id_data.labels[idx])
@@ -94,10 +92,6 @@ def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
                 raise FloatingPointError(
                     f"non-finite loss {value} at epoch {epoch}")
             model, velocity = sgd_step(model, grads, velocity, lr, cfg.momentum)
-            epoch_loss += value
-            n_steps += 1
-        if trace is not None:
-            trace.append(epoch_loss / n_steps)
     return model
 
 
@@ -105,12 +99,12 @@ def pretrain(cfg: TrainConfig) -> Mlp:
     """Cross-entropy training on ID blobs."""
     id_train, _ = make_datasets(cfg)
     model = mlp_init(cfg.arch, cfg.activation,
-                     seed=cfg.seed * 256 + cfgmod.STREAM_INIT)
+                     seed=stream_key(cfg.seed, cfgmod.STREAM_INIT))
     return _train_loop(model, cfg, id_train, LossSpec(kind="ce"),
                        cfg.pretrain_epochs, cfg.lr0)
 
 
-def finetune(cfg: TrainConfig, pretrained: Mlp, trace: list | None = None) -> Mlp:
+def finetune(cfg: TrainConfig, pretrained: Mlp) -> Mlp:
     """Finetune with the configured method's objective; the pretrained model
     stays frozen as the reference for dul."""
     if cfg.method == "none":
@@ -120,7 +114,7 @@ def finetune(cfg: TrainConfig, pretrained: Mlp, trace: list | None = None) -> Ml
     frozen = pretrained.copy() if cfg.method == "dul" else None
     return _train_loop(pretrained.copy(), cfg, id_train, spec,
                        cfg.finetune_epochs, cfg.finetune_lr0,
-                       sem_data=sem_train, frozen=frozen, trace=trace)
+                       sem_data=sem_train, frozen=frozen)
 
 
 def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
@@ -137,18 +131,13 @@ def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
         report.detection[method] = (metmod.fpr_at_95tpr(s), metmod.auroc(s),
                                     metmod.aupr(s))
     report.id_acc = metmod.accuracy(model, id_eval)
-    report.cov_acc = metmod.accuracy(model, cov[_nearest_eps(cfg)])
+    report.cov_acc = metmod.accuracy(model, cov[cfg.cov_eval_eps])
     for tag, pts in (("ID", id_eval.points),
-                     ("COV", cov[_nearest_eps(cfg)].points),
+                     ("COV", cov[cfg.cov_eval_eps].points),
                      ("SEM_TEST", sem_test.points)):
         report.uncertainty[tag] = metmod.uncertainty_stats(
             model, pts, cfg.alpha_mapping)
     return report
-
-
-def _nearest_eps(cfg: TrainConfig) -> float:
-    grid = np.asarray(cfg.eps_grid)
-    return float(grid[np.argmin(np.abs(grid - cfg.cov_eval_eps))])
 
 
 def noise_sweep(cfg: TrainConfig, model: Mlp):
@@ -164,7 +153,7 @@ def noise_sweep(cfg: TrainConfig, model: Mlp):
         if base_du is None:
             base_du = du  # first grid entry is eps = 0, i.e. the ID set
         rows.append({
-            "eps": eps,
+            "eps": float(eps),
             "cov_acc": metmod.accuracy(model, d),
             "shifted_du": du - base_du,
             "mean_du": du,
@@ -173,13 +162,11 @@ def noise_sweep(cfg: TrainConfig, model: Mlp):
     return rows
 
 
+SWEEP_COLUMNS = ("eps", "cov_acc", "shifted_du", "mean_du", "mean_total")
+
+
 def sweep_csv(rows) -> str:
-    out = ["eps,cov_acc,shifted_du,mean_du,mean_total"]
-    for r in rows:
-        out.append(",".join(f"{r[c]:.6f}" for c in
-                            ("eps", "cov_acc", "shifted_du", "mean_du",
-                             "mean_total")))
-    return "\n".join(out) + "\n"
+    return csv_table(SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
 
 
 def dilemma_table(cfg: TrainConfig):
@@ -187,10 +174,10 @@ def dilemma_table(cfg: TrainConfig):
     detector metrics next to its covariate accuracy."""
     base = pretrain(cfg)
     models = {"none": base}
-    for method in ("oe", "energy", "dpn", "dul"):
+    for method in METHODS[1:]:
         models[method] = finetune(cfg.with_(method=method), base)
     rows = []
-    for method in ("none", "oe", "energy", "dpn", "dul"):
+    for method in METHODS:
         report = evaluate(cfg, models[method])
         fpr95, roc, pr = report.detection[NATURAL_SCORE[method]]
         rows.append({
@@ -205,13 +192,11 @@ def dilemma_table(cfg: TrainConfig):
     return rows, models
 
 
+DILEMMA_COLUMNS = ("method", "score", "fpr95", "auroc", "aupr", "id_acc", "cov_acc")
+
+
 def dilemma_csv(rows) -> str:
-    out = ["method,score,fpr95,auroc,aupr,id_acc,cov_acc"]
-    for r in rows:
-        out.append(",".join([r["method"], r["score"]] + [
-            f"{r[c]:.6f}" for c in ("fpr95", "auroc", "aupr", "id_acc",
-                                    "cov_acc")]))
-    return "\n".join(out) + "\n"
+    return csv_table(DILEMMA_COLUMNS, ([r[c] for c in DILEMMA_COLUMNS] for r in rows))
 
 
 def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
@@ -265,7 +250,7 @@ def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
         if quick else cfg
     base = pretrain(run_cfg)
     candidates = [base]
-    for method in ("oe", "dul") if quick else ("oe", "energy", "dpn", "dul"):
+    for method in ("oe", "dul") if quick else METHODS[1:]:
         candidates.append(finetune(run_cfg.with_(method=method), base))
     pool = thmod.perturbed_pool(candidates, n_perturbed=8, seed=cfg.seed)
     _, cov, sem_test = make_eval_datasets(run_cfg)
@@ -280,7 +265,6 @@ def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
 
 
 def verify_csv(checks) -> str:
-    out = ["check,lhs,rhs,pass"]
-    for name, lhs, rhs, ok in checks:
-        out.append(f"{name},{lhs},{rhs},{int(ok)}")
-    return "\n".join(out) + "\n"
+    # str keeps residuals near 1e-16 readable where %.6f would print 0
+    return csv_table(("check", "lhs", "rhs", "pass"),
+                     ((name, str(lhs), str(rhs), int(ok)) for name, lhs, rhs, ok in checks))

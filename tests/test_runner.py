@@ -1,10 +1,15 @@
 """Tests for configuration handling, training plumbing, and the CLI."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dul_lab import cli, config, runner
 from dul_lab.config import TrainConfig, load_config, save_config, substream
+from dul_lab.metrics import EvalReport
 from dul_lab.nn import load_checkpoint
 
 TINY = TrainConfig(
@@ -40,16 +45,120 @@ def test_config_validation():
                 dict(eps_grid=(1.0, 2.0, 3.0)), dict(eps_grid=(0.5, 0.0)),
                 dict(arch=(3, 8, 3)), dict(arch=(2, 8, 5)),
                 dict(k=4), dict(batch_id=0),
-                dict(batch_ood=0)):
+                dict(batch_ood=0),
+                # values that used to fail only once a run reached them, or
+                # that evaluate snapped or truncated without a word
+                dict(alpha_mapping="bogus"), dict(tau=3), dict(smoothing=0.5),
+                dict(smoothing=-0.1), dict(lam=-1.0), dict(k=1, arch=(2, 8, 1)),
+                dict(n_per_class=0), dict(n_sem_train=0), dict(n_sem_test=0),
+                dict(n_eval_id=100), dict(n_eval_id=0), dict(sigma=5.0),
+                dict(k=6, arch=(2, 8, 6)), dict(cov_eval_eps=1.0),
+                dict(eps_grid=(0.0, -1.0), cov_eval_eps=0.0),
+                dict(lr0=float("nan")), dict(momentum=float("inf")),
+                dict(seed=-1), dict(seed=2**120),
+                dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
 
 def test_config_round_trip(tmp_path):
-    cfg = TINY.with_(method="dul", lam=1.25, eps_grid=(0.0, 0.5))
+    cfg = TINY.with_(method="dul", lam=1.25, eps_grid=(0.0, 0.5), cov_eval_eps=0.5)
     path = tmp_path / "run.ini"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+DEFAULT_CONFIG_TEXT = """\
+[train]
+arch = 2 64 64 3
+activation = tanh
+seed = 1
+pretrain_epochs = 200
+finetune_epochs = 60
+lr0 = 0.05
+finetune_lr0 = 0.01
+momentum = 0.9
+schedule = cosine
+batch_id = 128
+batch_ood = 256
+method = none
+
+[loss]
+lam = 3.0
+gamma = 30.0
+m_in = -12.0
+m_out = -4.0
+tau = 1
+dul_margin = 0.4
+target_alpha0 = 15.0
+smoothing = 0.01
+alpha_mapping = relu_plus_one
+
+[data]
+k = 3
+n_per_class = 500
+radius = 4.0
+sigma = 0.75
+n_sem_train = 1500
+n_sem_test = 1500
+n_eval_id = 1500
+eps_grid = 0.0 0.625 1.25 1.875 2.5 3.125
+cov_eval_eps = 3.125
+
+"""
+
+
+def test_save_config_default_text(tmp_path):
+    path = tmp_path / "default.ini"
+    save_config(TrainConfig(), path)
+    assert path.read_bytes() == DEFAULT_CONFIG_TEXT.encode("utf-8")
+
+
+# one valid non-default value per key, plus the keys that must change with it
+NON_DEFAULT = dict(
+    arch=(2, 16, 8, 3), activation="relu", seed=7, pretrain_epochs=5,
+    finetune_epochs=4, lr0=0.1, finetune_lr0=0.02, momentum=0.5,
+    schedule="constant", batch_id=64, batch_ood=32, method="dul", lam=1.5,
+    gamma=10.0, m_in=-10.0, m_out=-3.0, tau=2, dul_margin=0.3,
+    target_alpha0=20.0, smoothing=0.05, alpha_mapping="exp_relu", k=2,
+    n_per_class=100, radius=5.0, sigma=0.5, n_sem_train=300, n_sem_test=200,
+    n_eval_id=300, eps_grid=(0.0, 1.5, 3.125), cov_eval_eps=2.5,
+)
+COMPANIONS = {"k": dict(arch=(2, 64, 64, 2))}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
+def test_each_config_key_round_trips(tmp_path, name):
+    cfg = TrainConfig(**{name: NON_DEFAULT[name], **COMPANIONS.get(name, {})})
+    assert getattr(cfg, name) != getattr(TrainConfig(), name)
+    path = tmp_path / "run.ini"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+@settings(deadline=None, max_examples=40)
+@example(k=3, hidden=4, activation="tanh", schedule="cosine", n_per_class=4,
+         n_sem_train=4, sigma=5.0, batch_id=8, batch_ood=8)
+@example(k=1, hidden=4, activation="relu", schedule="constant", n_per_class=4,
+         n_sem_train=4, sigma=0.5, batch_id=8, batch_ood=8)
+@given(k=st.integers(2, 5), hidden=st.integers(1, 6),
+       activation=st.sampled_from(["relu", "tanh"]),
+       schedule=st.sampled_from(config.SCHEDULES),
+       n_per_class=st.integers(0, 8), n_sem_train=st.integers(0, 8),
+       sigma=st.floats(0.0, 1.0), batch_id=st.integers(0, 16),
+       batch_ood=st.integers(0, 16))
+def test_any_config_that_constructs_pretrains(k, hidden, activation, schedule,
+                                              n_per_class, n_sem_train, sigma,
+                                              batch_id, batch_ood):
+    try:
+        cfg = TrainConfig(arch=(2, hidden, k), activation=activation,
+                          schedule=schedule, pretrain_epochs=1, k=k,
+                          n_per_class=n_per_class, n_sem_train=n_sem_train,
+                          sigma=sigma, batch_id=batch_id, batch_ood=batch_ood)
+    except ValueError:
+        assume(False)
+    model = runner.pretrain(cfg)
+    assert model.out_dim == k
 
 
 def test_config_unknown_key_and_section(tmp_path):
@@ -117,6 +226,37 @@ def test_evaluate_report_fields():
         assert 0.0 <= fpr <= 1.0 and 0.0 <= roc <= 1.0 and 0.0 <= pr <= 1.0
     assert 0.0 <= report.id_acc <= 1.0
     assert set(report.uncertainty) == {"ID", "COV", "SEM_TEST"}
+
+
+def test_csv_tables_golden():
+    """The exact bytes of every report: floats as %.6f, verify's lhs and rhs
+    with str so that a 1e-16 residual stays readable."""
+    rep = EvalReport(detection={"msp": (0.05, 0.9, 0.85)}, id_acc=0.99,
+                     cov_acc=2.0 / 3.0,
+                     uncertainty={"ID": (-1.5, 0.25), "COV": (-1.0, 0.5),
+                                  "SEM_TEST": (0.125, 1.0986122886681098)})
+    assert rep.to_csv() == (
+        "method,fpr95,auroc,aupr,id_acc,cov_acc,mean_du_id,mean_du_cov,"
+        "mean_du_sem,mean_total_id,mean_total_cov,mean_total_sem\n"
+        "msp,0.050000,0.900000,0.850000,0.990000,0.666667,-1.500000,"
+        "-1.000000,0.125000,0.250000,0.500000,1.098612\n")
+    sweep = [{"eps": 0.625, "cov_acc": 0.5, "shifted_du": -0.0123456789,
+              "mean_du": 1.0, "mean_total": 1e-7}]
+    assert runner.sweep_csv(sweep) == (
+        "eps,cov_acc,shifted_du,mean_du,mean_total\n"
+        "0.625000,0.500000,-0.012346,1.000000,0.000000\n")
+    dilemma = [{"method": "dul", "score": "diffent", "fpr95": 0.1,
+                "auroc": 0.95, "aupr": 0.9, "id_acc": 1.0, "cov_acc": 0.75}]
+    assert runner.dilemma_csv(dilemma) == (
+        "method,score,fpr95,auroc,aupr,id_acc,cov_acc\n"
+        "dul,diffent,0.100000,0.950000,0.900000,1.000000,0.750000\n")
+    checks = [("digamma_recurrence", 1.1102230246251565e-16, 1e-12, True),
+              ("pinsker", 0, 0, True), ("lemma2", 2, 0, False)]
+    assert runner.verify_csv(checks) == (
+        "check,lhs,rhs,pass\n"
+        "digamma_recurrence,1.1102230246251565e-16,1e-12,1\n"
+        "pinsker,0,0,1\n"
+        "lemma2,2,0,0\n")
 
 
 def test_noise_sweep_rows():
@@ -198,6 +338,18 @@ def test_cli_missing_config_exits_2(tmp_path):
     "[train]\narch = 2 8 5\n",
     "[train]\nwarmup = 5\n",
     "lr0 = 0.1\n",  # configparser's own error spans lines
+    # each failed later, as a traceback or a silently wrong number
+    "[data]\nsigma = 5.0\n",
+    "[loss]\nalpha_mapping = bogus\n",
+    "[train]\nactivation = gelu\n",
+    "[loss]\ntau = 3\n",
+    "[loss]\nsmoothing = 0.5\n",
+    "[train]\narch = 2 8 1\n[data]\nk = 1\n",
+    "[data]\nn_per_class = 0\n",
+    "[data]\nn_eval_id = 100\n",
+    "[data]\ncov_eval_eps = 1.0\n",
+    "[train]\nlr0 = nan\n",
+    "[train]\nseed = -1\n",
 ])
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
@@ -215,6 +367,15 @@ def test_cli_global_flags_after_subcommand(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["pretrain", "--config", cfgfile, "--out", out]) == 0
     assert (tmp_path / "out" / "pretrained.ckpt").exists()
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1", "pretrain"],
+                                  ["finetune", "--method", "bogus"]])
+def test_cli_bad_flag_value_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_cli_unknown_command_exits_2():
@@ -236,3 +397,19 @@ def test_cli_bad_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, con
     rc = cli.main([command, "--checkpoint", str(ckpt), "--out", str(tmp_path)] + extra)
     assert rc == 2
     assert capsys.readouterr().err == expected
+
+
+def test_cli_checkpoint_directory_exits_2(tmp_path, capsys):
+    rc = cli.main(["eval", "--checkpoint", str(tmp_path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [FloatingPointError, ValueError])
+def test_cli_runtime_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, exc):
+    def fail(cfg):
+        raise exc("non-finite loss nan at epoch 0")
+    monkeypatch.setattr(runner, "pretrain", fail)
+    rc = cli.main(["pretrain", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: non-finite loss nan at epoch 0\n"
