@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import data as datamod
 from . import runner
 from .config import METHODS, TrainConfig, load_config
@@ -107,7 +109,9 @@ def _run(args, cfg: TrainConfig) -> int:
         datamod.write_dataset_csv(out / "id_eval.csv", id_eval)
         datamod.write_dataset_csv(out / "sem_test.csv", sem_test)
         for eps, d in cov.items():
-            datamod.write_dataset_csv(out / f"cov_eps{eps:g}.csv", d)
+            # the shortest decimal that round-trips, so distinct eps never share a file
+            name = np.format_float_positional(eps, trim="-")
+            datamod.write_dataset_csv(out / f"cov_eps{name}.csv", d)
         print(f"wrote datasets to {out}")
         return 0
     if args.command == "pretrain":

@@ -115,6 +115,8 @@ class TrainConfig:
                              "that noise_sweep measures shifted_du from")
         if min(self.eps_grid) < 0:
             raise ValueError("eps_grid must be nonnegative")
+        if len(set(self.eps_grid)) != len(self.eps_grid):
+            raise ValueError("eps_grid values must be distinct")
         if self.cov_eval_eps not in self.eps_grid:
             raise ValueError("cov_eval_eps must be one of eps_grid")
         check_sem_separation(self.k, self.sigma)

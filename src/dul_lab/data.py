@@ -26,7 +26,6 @@ class LabeledDataset:
     points: np.ndarray
     labels: np.ndarray | None
     tag: str
-    noise_eps: float = 0.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -42,8 +41,6 @@ class LabeledDataset:
             if y.shape != (pts.shape[0],):
                 raise ValueError("labels must be a vector of length n")
             object.__setattr__(self, "labels", y)
-        if self.noise_eps < 0:
-            raise ValueError("noise_eps must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -75,7 +72,7 @@ def perturb_covariate(d: LabeledDataset, eps: float, seed: int = 0) -> LabeledDa
         raise ValueError("covariate shift applies to ID data only")
     rng = np.random.Generator(np.random.Philox(key=seed))
     noisy = d.points + eps * rng.standard_normal(d.points.shape)
-    return LabeledDataset(noisy, d.labels, "COV", noise_eps=eps)
+    return LabeledDataset(noisy, d.labels, "COV")
 
 
 def sem_train_centers(k: int = 3) -> np.ndarray:

@@ -6,9 +6,13 @@ distributional-uncertainty measure; the Dirichlet mean is the predicted
 class distribution.
 
 Each formula is written once, as a row kernel (a ``*_rows`` function) over an
-(n, K) array holding one distribution per row. The losses and scores call the
-kernels on whole batches; the functions taking a DirichletParams or a
-SimplexVector are thin wrappers that run a kernel on one row.
+(n, K) array holding one distribution per row; the kernels are the API, and
+the losses and scores call them on whole batches. The one-distribution
+functions that remain (total_uncertainty, expected_data_entropy,
+mutual_information and kl_categorical, on a DirichletParams or a
+SimplexVector) stay because the inequality checks in theory and the verify
+fuzz call them one distribution at a time, and the certify benchmark times
+that loop.
 """
 
 from __future__ import annotations
@@ -17,13 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
-
-
-def lgamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not np.isfinite(x) or x <= 0:
-        raise ValueError(f"lgamma requires finite x > 0, got {x}")
-    return float(sp.gammaln(x))
 
 
 def digamma(x: float) -> float:
@@ -45,7 +42,7 @@ class DirichletParams:
     """Concentration vector alpha (all entries > 0) and its sum alpha0."""
 
     alpha: np.ndarray
-    alpha0: float = field(default=None)  # type: ignore[assignment]
+    alpha0: float = field(init=False)
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -54,15 +51,7 @@ class DirichletParams:
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0):
             raise ValueError("alpha entries must be finite and positive")
         object.__setattr__(self, "alpha", alpha)
-        total = float(alpha.sum())
-        if self.alpha0 is None:
-            object.__setattr__(self, "alpha0", total)
-        elif abs(self.alpha0 - total) > 1e-12 * max(1.0, abs(total)):
-            raise ValueError("alpha0 must equal sum(alpha)")
-
-    @property
-    def k(self) -> int:
-        return self.alpha.size
+        object.__setattr__(self, "alpha0", float(alpha.sum()))
 
 
 @dataclass(frozen=True)
@@ -180,35 +169,7 @@ def total_uncertainty_rows(alpha: np.ndarray) -> np.ndarray:
     return categorical_entropy_rows(alpha / alpha.sum(axis=1, keepdims=True))
 
 
-# -- scalar API: one distribution, through the row kernels ----------------
-
-def alpha_from_logits(logits, mapping: str = "relu_plus_one") -> DirichletParams:
-    """Dirichlet of one logit vector; see alpha_rows for the mappings."""
-    f = np.asarray(logits, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("logits must be a 1-D vector with K >= 2")
-    return DirichletParams(alpha_rows(f[None, :], mapping)[0])
-
-
-def alpha_mapping_jacobian_diag(logits, mapping: str = "relu_plus_one") -> np.ndarray:
-    """d alpha_k / d f_k of one logit vector."""
-    return alpha_jacobian_rows(np.asarray(logits, dtype=float)[None, :], mapping)[0]
-
-
-def diff_entropy(d: DirichletParams) -> float:
-    """Differential entropy of Dir(alpha); higher means flatter."""
-    return float(diff_entropy_rows(d.alpha[None, :])[0])
-
-
-def diff_entropy_grad(d: DirichletParams) -> np.ndarray:
-    """Gradient of diff_entropy with respect to alpha."""
-    return diff_entropy_grad_rows(d.alpha[None, :])[0]
-
-
-def expected_categorical(d: DirichletParams) -> SimplexVector:
-    """Mean of the Dirichlet: p_k = alpha_k / alpha0."""
-    return SimplexVector(d.alpha / d.alpha0)
-
+# -- one distribution: the inequality checks and the verify fuzz --------
 
 def expected_data_entropy(d: DirichletParams) -> float:
     """E_mu[H(Cat(mu))] = -sum_k (alpha_k/alpha0) (psi(alpha_k+1) - psi(alpha0+1))."""
@@ -226,11 +187,6 @@ def mutual_information(d: DirichletParams) -> float:
     return total_uncertainty(d) - expected_data_entropy(d)
 
 
-def categorical_entropy(p: SimplexVector) -> float:
-    """-sum p_k ln p_k with 0 ln 0 := 0."""
-    return float(categorical_entropy_rows(p.p[None, :])[0])
-
-
 def kl_categorical(p: SimplexVector, q: SimplexVector) -> float:
     """KL(p || q) in nats; requires q > 0 on the support of p."""
     if p.k != q.k:
@@ -239,18 +195,3 @@ def kl_categorical(p: SimplexVector, q: SimplexVector) -> float:
     if np.any(q.p[sup] <= 0):
         raise ValueError("q must be positive wherever p is")
     return float(np.sum(p.p[sup] * (np.log(p.p[sup]) - np.log(q.p[sup]))))
-
-
-def kl_dirichlet(a: DirichletParams, b: DirichletParams) -> float:
-    """KL(Dir(a) || Dir(b))."""
-    return float(kl_dirichlet_rows(a.alpha[None, :], b.alpha[None, :])[0])
-
-
-def kl_dirichlet_grad_first(a: DirichletParams, b: DirichletParams) -> np.ndarray:
-    """Gradient of kl_dirichlet with respect to the first argument's alpha."""
-    return kl_dirichlet_grad_first_rows(a.alpha[None, :], b.alpha[None, :])[0]
-
-
-def kl_dirichlet_grad_second(a: DirichletParams, b: DirichletParams) -> np.ndarray:
-    """Gradient of kl_dirichlet with respect to the second argument's alpha."""
-    return kl_dirichlet_grad_second_rows(a.alpha[None, :], b.alpha[None, :])[0]

@@ -85,12 +85,6 @@ def oe_loss(logits):
     return value, grad
 
 
-def energy_score(logits) -> float:
-    """-log sum exp of one logit vector, computed with a max shift."""
-    f = np.asarray(logits, dtype=float)
-    return float(-logsumexp(f))
-
-
 def energy_scores(logits) -> np.ndarray:
     return -logsumexp(np.asarray(logits, dtype=float), axis=1)
 

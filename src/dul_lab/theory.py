@@ -107,14 +107,17 @@ def disparity_discrepancy(p_samples, q_samples, pool: HypothesisPool) -> float:
 
 
 def lemma2_check(ood_logits) -> dict:
-    """Mean TVD to uniform vs the uniform-CE slack bound, per-sample."""
+    """Mean TVD to uniform vs the mean uniform-CE slack bound, and the
+    number of rows whose own TVD exceeds their own bound."""
     f = np.asarray(ood_logits, dtype=float)
     k = f.shape[1]
     probs = softmax(f, axis=1)
-    lhs = float(_tvd_rows(probs, np.full_like(probs, 1.0 / k)).mean())
+    tv = _tvd_rows(probs, np.full_like(probs, 1.0 / k))
     slack = np.maximum(oe_per_sample(f) - np.log(k), 0.0)
-    rhs = float(np.sqrt(slack / 2.0).mean())
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9}
+    bound = np.sqrt(slack / 2.0)
+    lhs, rhs = float(tv.mean()), float(bound.mean())
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9,
+            "row_violations": int(np.count_nonzero(~(tv <= bound + 1e-9)))}
 
 
 def pinsker_check(p: SimplexVector, q: SimplexVector) -> dict:

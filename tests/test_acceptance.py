@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import softmax
+from scipy.special import gammaln, softmax
 from scipy.stats import spearmanr
 
 from dul_lab import cli, dirichlet as dmath, losses, metrics, runner
@@ -70,19 +70,18 @@ def test_criterion_01_special_functions():
 
 def test_criterion_02_diff_entropy_monte_carlo():
     t0 = time.monotonic()
-    exact_ok = abs(dmath.diff_entropy(DirichletParams(np.ones(3)))
-                   + np.log(2.0)) < 1e-12
+    exact_ok = abs(dmath.diff_entropy_rows(np.ones((1, 3)))[0] + np.log(2.0)) < 1e-12
     rng = np.random.default_rng(102)
     worst_z = 0.0
     for _ in range(50):
         k = int(rng.integers(2, 6))
         d = DirichletParams(rng.uniform(0.2, 50.0, size=k))
         mu = rng.dirichlet(d.alpha, size=1_000_000)
-        logpdf = (dmath.lgamma(d.alpha0)
-                  - sum(dmath.lgamma(a) for a in d.alpha)
+        logpdf = (gammaln(d.alpha0)
+                  - sum(gammaln(a) for a in d.alpha)
                   + np.sum((d.alpha - 1.0) * np.log(mu), axis=1))
         se = logpdf.std(ddof=1) / np.sqrt(mu.shape[0])
-        z = abs(dmath.diff_entropy(d) - (-logpdf.mean())) / se
+        z = abs(dmath.diff_entropy_rows(d.alpha[None, :])[0] - (-logpdf.mean())) / se
         worst_z = max(worst_z, z)
     elapsed = time.monotonic() - t0
     ok = exact_ok and worst_z < 3.0 and elapsed < 30.0
@@ -151,14 +150,14 @@ def test_criterion_04_gradient_exactness():
             worst_rel = max(worst_rel, rel)
     worst_ent = 0.0
     for _ in range(20):
-        d = DirichletParams(rng.uniform(0.2, 50.0, size=4))
-        g = dmath.diff_entropy_grad(d)
+        alpha = rng.uniform(0.2, 50.0, size=(1, 4))
+        g = dmath.diff_entropy_grad_rows(alpha)[0]
         for i in range(4):
-            up, dn = d.alpha.copy(), d.alpha.copy()
-            up[i] += h
-            dn[i] -= h
-            fd = (dmath.diff_entropy(DirichletParams(up))
-                  - dmath.diff_entropy(DirichletParams(dn))) / (2.0 * h)
+            up, dn = alpha.copy(), alpha.copy()
+            up[0, i] += h
+            dn[0, i] -= h
+            fd = (dmath.diff_entropy_rows(up)[0]
+                  - dmath.diff_entropy_rows(dn)[0]) / (2.0 * h)
             worst_ent = max(worst_ent, abs(g[i] - fd) / max(1.0, abs(fd)))
     elapsed = time.monotonic() - t0
     ok = worst_rel <= 1e-4 and worst_ent <= 1e-6 and elapsed < 60.0

@@ -19,8 +19,6 @@ def test_labeled_dataset_validation():
         LabeledDataset(pts, np.zeros(4, dtype=int), "SEM_TRAIN")
     with pytest.raises(ValueError):
         LabeledDataset(pts, np.zeros(3, dtype=int), "ID")
-    with pytest.raises(ValueError):
-        LabeledDataset(pts, None, "ID", noise_eps=-1.0)
     d = LabeledDataset(pts, np.zeros(4, dtype=int), "ID")
     assert d.n == 4
 
@@ -48,7 +46,6 @@ def test_perturb_covariate():
     d = datamod.make_id_blobs(3, 20, seed=6)
     shifted = datamod.perturb_covariate(d, eps=0.5, seed=7)
     assert shifted.tag == "COV"
-    assert shifted.noise_eps == 0.5
     assert np.array_equal(shifted.labels, d.labels)
     assert not np.array_equal(shifted.points, d.points)
     clean = datamod.perturb_covariate(d, eps=0.0, seed=7)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import gammaln
 
 from dul_lab import dirichlet as dmath
 from dul_lab.dirichlet import DirichletParams, SimplexVector
@@ -18,6 +19,22 @@ def random_alpha(rng, k=None):
     return DirichletParams(rng.uniform(0.2, 50.0, size=k))
 
 
+def diff_entropy(alpha):
+    """Differential entropy of one Dirichlet, through the row kernel."""
+    return float(dmath.diff_entropy_rows(alpha[None, :])[0])
+
+
+def kl_dirichlet(a, b):
+    """KL(Dir(a) || Dir(b)), through the row kernel."""
+    return float(dmath.kl_dirichlet_rows(a[None, :], b[None, :])[0])
+
+
+def dirichlet_logpdf(alpha, mu):
+    """ln Dir(mu | alpha) for each row of mu, from scipy's log-gamma."""
+    return (gammaln(alpha.sum()) - np.sum(gammaln(alpha))
+            + np.sum((alpha - 1.0) * np.log(mu), axis=1))
+
+
 def test_special_function_values():
     assert abs(dmath.digamma(1.0) + EULER_GAMMA) < 1e-12
     assert abs(dmath.digamma(0.5) + EULER_GAMMA + 2.0 * np.log(2.0)) < 1e-12
@@ -25,7 +42,7 @@ def test_special_function_values():
 
 
 def test_special_function_domain_errors():
-    for fn in (dmath.lgamma, dmath.digamma, dmath.trigamma):
+    for fn in (dmath.digamma, dmath.trigamma):
         with pytest.raises(ValueError):
             fn(0.0)
         with pytest.raises(ValueError):
@@ -53,11 +70,10 @@ def test_dirichlet_params_validation():
         DirichletParams(np.array([1.0, -0.2]))
     with pytest.raises(ValueError):
         DirichletParams(np.array([1.0, np.inf]))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # alpha0 is computed, never passed
         DirichletParams(np.array([1.0, 2.0]), alpha0=5.0)
     d = DirichletParams(np.array([2.0, 3.0]))
     assert d.alpha0 == 5.0
-    assert d.k == 2
 
 
 def test_simplex_vector_validation():
@@ -70,21 +86,18 @@ def test_simplex_vector_validation():
 
 
 def test_alpha_from_logits_mappings():
-    f = np.array([2.0, -1.0, 0.0])
-    a = dmath.alpha_from_logits(f, "relu_plus_one")
-    assert np.allclose(a.alpha, [3.0, 1.0, 1.0])
-    b = dmath.alpha_from_logits(f, "exp_relu")
-    assert np.allclose(b.alpha, [np.e**2, 1.0, 1.0])
+    f = np.array([[2.0, -1.0, 0.0]])
+    assert np.allclose(dmath.alpha_rows(f, "relu_plus_one"), [[3.0, 1.0, 1.0]])
+    assert np.allclose(dmath.alpha_rows(f, "exp_relu"), [[np.e**2, 1.0, 1.0]])
     with pytest.raises(ValueError):
-        dmath.alpha_from_logits(f, "softplus")
+        dmath.alpha_rows(f, "softplus")
     with pytest.raises(ValueError):
-        dmath.alpha_from_logits(np.array([1.0, np.nan, 0.0]))
+        dmath.alpha_rows(np.array([[1.0, np.nan, 0.0]]))
 
 
 def test_uniform_dirichlet_entropy_k3():
     # Dir(1,1,1) is uniform on the 2-simplex of area 1/2
-    d = DirichletParams(np.ones(3))
-    assert abs(dmath.diff_entropy(d) + np.log(2.0)) < 1e-12
+    assert abs(diff_entropy(np.ones(3)) + np.log(2.0)) < 1e-12
 
 
 def test_diff_entropy_monte_carlo():
@@ -92,12 +105,10 @@ def test_diff_entropy_monte_carlo():
     for _ in range(5):
         d = random_alpha(rng)
         mu = rng.dirichlet(d.alpha, size=200_000)
-        logpdf = (dmath.lgamma(d.alpha0)
-                  - np.sum([dmath.lgamma(a) for a in d.alpha])
-                  + np.sum((d.alpha - 1.0) * np.log(mu), axis=1))
+        logpdf = dirichlet_logpdf(d.alpha, mu)
         est = -logpdf.mean()
         se = logpdf.std(ddof=1) / np.sqrt(mu.shape[0])
-        assert abs(dmath.diff_entropy(d) - est) < 4.0 * se + 1e-9
+        assert abs(diff_entropy(d.alpha) - est) < 4.0 * se + 1e-9
 
 
 def test_diff_entropy_grad_finite_difference():
@@ -105,20 +116,14 @@ def test_diff_entropy_grad_finite_difference():
     h = 1e-6
     for _ in range(10):
         d = random_alpha(rng)
-        g = dmath.diff_entropy_grad(d)
-        for i in range(d.k):
+        g = dmath.diff_entropy_grad_rows(d.alpha[None, :])[0]
+        for i in range(d.alpha.size):
             up = d.alpha.copy()
             dn = d.alpha.copy()
             up[i] += h
             dn[i] -= h
-            fd = (dmath.diff_entropy(DirichletParams(up))
-                  - dmath.diff_entropy(DirichletParams(dn))) / (2.0 * h)
+            fd = (diff_entropy(up) - diff_entropy(dn)) / (2.0 * h)
             assert abs(g[i] - fd) < 1e-5 * max(1.0, abs(fd))
-
-
-def test_expected_categorical_is_mean():
-    d = DirichletParams(np.array([2.0, 6.0]))
-    assert np.allclose(dmath.expected_categorical(d).p, [0.25, 0.75])
 
 
 def test_uncertainty_decomposition_fuzz():
@@ -142,10 +147,10 @@ def test_expected_data_entropy_monte_carlo():
 
 
 def test_categorical_entropy_edge_cases():
-    assert dmath.categorical_entropy(SimplexVector(np.array([1.0, 0.0]))) == 0.0
+    assert dmath.categorical_entropy_rows(np.array([[1.0, 0.0]]))[0] == 0.0
     k = 5
-    u = SimplexVector(np.full(k, 1.0 / k))
-    assert abs(dmath.categorical_entropy(u) - np.log(k)) < 1e-12
+    u = np.full((1, k), 1.0 / k)
+    assert abs(dmath.categorical_entropy_rows(u)[0] - np.log(k)) < 1e-12
 
 
 def test_kl_categorical_properties():
@@ -165,50 +170,42 @@ def test_kl_dirichlet_properties():
     rng = np.random.default_rng(13)
     for _ in range(100):
         k = int(rng.integers(2, 6))
-        a = random_alpha(rng, k)
-        b = random_alpha(rng, k)
-        assert dmath.kl_dirichlet(a, a) < 1e-10
-        assert dmath.kl_dirichlet(a, b) >= -1e-10
+        a = random_alpha(rng, k).alpha
+        b = random_alpha(rng, k).alpha
+        assert kl_dirichlet(a, a) < 1e-10
+        assert kl_dirichlet(a, b) >= -1e-10
     with pytest.raises(ValueError):
-        dmath.kl_dirichlet(random_alpha(rng, 2), random_alpha(rng, 3))
+        kl_dirichlet(random_alpha(rng, 2).alpha, random_alpha(rng, 3).alpha)
 
 
 def test_kl_dirichlet_monte_carlo():
     rng = np.random.default_rng(17)
-    a = random_alpha(rng, k=3)
-    b = random_alpha(rng, k=3)
-    mu = rng.dirichlet(a.alpha, size=200_000)
-
-    def logpdf(d, mu):
-        return (dmath.lgamma(d.alpha0)
-                - np.sum([dmath.lgamma(x) for x in d.alpha])
-                + np.sum((d.alpha - 1.0) * np.log(mu), axis=1))
-
-    diff = logpdf(a, mu) - logpdf(b, mu)
+    a = random_alpha(rng, k=3).alpha
+    b = random_alpha(rng, k=3).alpha
+    mu = rng.dirichlet(a, size=200_000)
+    diff = dirichlet_logpdf(a, mu) - dirichlet_logpdf(b, mu)
     se = diff.std(ddof=1) / np.sqrt(mu.shape[0])
-    assert abs(dmath.kl_dirichlet(a, b) - diff.mean()) < 4.0 * se + 1e-9
+    assert abs(kl_dirichlet(a, b) - diff.mean()) < 4.0 * se + 1e-9
 
 
 def test_kl_dirichlet_grads_finite_difference():
     rng = np.random.default_rng(19)
     h = 1e-6
     for _ in range(5):
-        a = random_alpha(rng, k=4)
-        b = random_alpha(rng, k=4)
-        ga = dmath.kl_dirichlet_grad_first(a, b)
-        gb = dmath.kl_dirichlet_grad_second(a, b)
+        a = random_alpha(rng, k=4).alpha
+        b = random_alpha(rng, k=4).alpha
+        ga = dmath.kl_dirichlet_grad_first_rows(a[None, :], b[None, :])[0]
+        gb = dmath.kl_dirichlet_grad_second_rows(a[None, :], b[None, :])[0]
         for i in range(4):
-            up, dn = a.alpha.copy(), a.alpha.copy()
+            up, dn = a.copy(), a.copy()
             up[i] += h
             dn[i] -= h
-            fd = (dmath.kl_dirichlet(DirichletParams(up), b)
-                  - dmath.kl_dirichlet(DirichletParams(dn), b)) / (2.0 * h)
+            fd = (kl_dirichlet(up, b) - kl_dirichlet(dn, b)) / (2.0 * h)
             assert abs(ga[i] - fd) < 1e-5 * max(1.0, abs(fd))
-            up, dn = b.alpha.copy(), b.alpha.copy()
+            up, dn = b.copy(), b.copy()
             up[i] += h
             dn[i] -= h
-            fd = (dmath.kl_dirichlet(a, DirichletParams(up))
-                  - dmath.kl_dirichlet(a, DirichletParams(dn))) / (2.0 * h)
+            fd = (kl_dirichlet(a, up) - kl_dirichlet(a, dn)) / (2.0 * h)
             assert abs(gb[i] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
@@ -228,9 +225,9 @@ def test_decomposition_property(alpha):
 @given(st.lists(st.floats(min_value=-30.0, max_value=30.0),
                 min_size=2, max_size=6))
 def test_alpha_mapping_floor_property(logits):
-    d = dmath.alpha_from_logits(np.array(logits))
-    assert np.all(d.alpha >= 1.0)
-    assert d.alpha0 >= d.k
+    alpha = dmath.alpha_rows(np.array([logits]))
+    assert np.all(alpha >= 1.0)
+    assert alpha.sum() >= alpha.size
 
 
 # logit entries: exactly 0 (the relu kink) or anywhere in [-30, 30]
@@ -241,35 +238,29 @@ LOGITS = st.one_of(st.just(0.0), st.floats(min_value=-30.0, max_value=30.0))
 @given(st.data(), st.integers(min_value=1, max_value=8),
        st.integers(min_value=2, max_value=6),
        st.sampled_from(["relu_plus_one", "exp_relu"]))
-def test_row_kernels_match_scalar_api_row_by_row(data, n, k, mapping):
+def test_row_kernels_batch_rows_equal_each_row_alone(data, n, k, mapping):
     f = data.draw(arrays(float, (n, k), elements=LOGITS))
     g = data.draw(arrays(float, (n, k), elements=LOGITS))
-    a = dmath.alpha_rows(f, mapping)
-    b = dmath.alpha_rows(g, mapping)
-    kernels = {
-        "jacobian": dmath.alpha_jacobian_rows(f, mapping),
-        "diff_entropy": dmath.diff_entropy_rows(a),
-        "diff_entropy_grad": dmath.diff_entropy_grad_rows(a),
-        "kl": dmath.kl_dirichlet_rows(a, b),
-        "kl_grad_first": dmath.kl_dirichlet_grad_first_rows(a, b),
-        "kl_grad_second": dmath.kl_dirichlet_grad_second_rows(a, b),
-        "total_uncertainty": dmath.total_uncertainty_rows(a),
-    }
-    for i in range(n):
-        da = dmath.alpha_from_logits(f[i], mapping)
-        db = dmath.alpha_from_logits(g[i], mapping)
-        scalar = {
-            "jacobian": dmath.alpha_mapping_jacobian_diag(f[i], mapping),
-            "diff_entropy": dmath.diff_entropy(da),
-            "diff_entropy_grad": dmath.diff_entropy_grad(da),
-            "kl": dmath.kl_dirichlet(da, db),
-            "kl_grad_first": dmath.kl_dirichlet_grad_first(da, db),
-            "kl_grad_second": dmath.kl_dirichlet_grad_second(da, db),
-            "total_uncertainty": dmath.total_uncertainty(da),
+
+    def kernels(f, g):
+        a = dmath.alpha_rows(f, mapping)
+        b = dmath.alpha_rows(g, mapping)
+        return {
+            "alpha": a,
+            "jacobian": dmath.alpha_jacobian_rows(f, mapping),
+            "diff_entropy": dmath.diff_entropy_rows(a),
+            "diff_entropy_grad": dmath.diff_entropy_grad_rows(a),
+            "kl": dmath.kl_dirichlet_rows(a, b),
+            "kl_grad_first": dmath.kl_dirichlet_grad_first_rows(a, b),
+            "kl_grad_second": dmath.kl_dirichlet_grad_second_rows(a, b),
+            "total_uncertainty": dmath.total_uncertainty_rows(a),
         }
-        assert np.array_equal(a[i], da.alpha)
-        for name, want in scalar.items():
-            assert np.array_equal(kernels[name][i], want), name
+
+    batch = kernels(f, g)
+    for i in range(n):
+        alone = kernels(f[i:i + 1], g[i:i + 1])
+        for name, want in alone.items():
+            assert np.array_equal(batch[name][i], want[0]), name
 
 
 def test_row_kernels_reject_bad_input():

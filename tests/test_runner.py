@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dul_lab import cli, config, runner
+from dul_lab import cli, config, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
 from dul_lab.metrics import EvalReport
 from dul_lab.nn import load_checkpoint
@@ -56,7 +56,8 @@ def test_config_validation():
                 dict(eps_grid=(0.0, -1.0), cov_eval_eps=0.0),
                 dict(lr0=float("nan")), dict(momentum=float("inf")),
                 dict(seed=-1), dict(seed=2**120),
-                dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0)):
+                dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0),
+                dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
@@ -192,7 +193,6 @@ def test_make_datasets_shapes():
     assert id_train.n == 120 and sem_train.n == 60
     id_eval, cov, sem_test = runner.make_eval_datasets(TINY)
     assert set(cov) == set(TINY.eps_grid)
-    assert cov[0.0].noise_eps == 0.0
     assert np.array_equal(cov[0.0].points, id_eval.points)
 
 
@@ -277,6 +277,17 @@ def test_verify_quick_all_pass():
         assert ok, (name, lhs, rhs)
 
 
+def test_verify_lemma2_row_reports_failing_row_count(monkeypatch):
+    # halving the uniform-CE slack makes the bound fail on near-uniform rows
+    real = theory.oe_per_sample
+    monkeypatch.setattr(theory, "oe_per_sample", lambda f: np.log(f.shape[1])
+                        + 0.5 * (real(f) - np.log(f.shape[1])))
+    checks = {name: (lhs, ok) for name, lhs, _, ok in
+              runner.verify(TINY, fuzz=300, quick=True)}
+    lhs, ok = checks["lemma2"]
+    assert lhs > 0 and not ok
+
+
 def test_train_loop_deterministic():
     a = runner.pretrain(TINY)
     b = runner.pretrain(TINY)
@@ -293,6 +304,15 @@ def test_cli_gen_data(tmp_path):
                  "sem_test.csv"):
         assert (out / name).exists()
     assert any(p.name.startswith("cov_eps") for p in out.iterdir())
+
+
+def test_cli_gen_data_writes_one_file_per_eps(tmp_path):
+    # eps values that agree to six digits used to share one file
+    path = tmp_path / "run.ini"
+    save_config(TINY.with_(eps_grid=(0.0, 1.0000001, 1.0000002), cov_eval_eps=0.0), path)
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "gen-data"]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("cov_eps*")) == [
+        "cov_eps0.csv", "cov_eps1.0000001.csv", "cov_eps1.0000002.csv"]
 
 
 def test_cli_pretrain_eval_sweep(tmp_path):
@@ -348,6 +368,7 @@ def test_cli_missing_config_exits_2(tmp_path):
     "[data]\nn_per_class = 0\n",
     "[data]\nn_eval_id = 100\n",
     "[data]\ncov_eval_eps = 1.0\n",
+    "[data]\neps_grid = 0 0.5 0.5\ncov_eval_eps = 0.5\n",
     "[train]\nlr0 = nan\n",
     "[train]\nseed = -1\n",
 ])

@@ -58,10 +58,25 @@ def test_bretagnolle_huber_tighter_for_large_kl():
 def test_lemma2_fuzz_and_uniform_case():
     rng = np.random.default_rng(63)
     logits = rng.normal(0.0, 4.0, size=(2000, 5))
-    assert theory.lemma2_check(logits)["holds"]
+    res = theory.lemma2_check(logits)
+    assert res["holds"] and res["row_violations"] == 0
     res = theory.lemma2_check(np.zeros((3, 4)))
     assert res["lhs"] == pytest.approx(0.0, abs=1e-15)
     assert res["rhs"] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_lemma2_row_violations_count_every_failing_row(monkeypatch):
+    # halving the uniform-CE slack makes the bound fail on near-uniform rows
+    real = theory.oe_per_sample
+    monkeypatch.setattr(theory, "oe_per_sample", lambda f: np.log(f.shape[1])
+                        + 0.5 * (real(f) - np.log(f.shape[1])))
+    logits = np.random.default_rng(65).normal(0.0, 5.0, size=(400, 4))
+    logits[:20] *= 0.01
+    res = theory.lemma2_check(logits)
+    one_row = sum(not theory.lemma2_check(logits[i:i + 1])["holds"]
+                  for i in range(len(logits)))
+    assert res["holds"]  # the mean check alone misses them
+    assert res["row_violations"] == one_row > 0
 
 
 def test_hypothesis_pool_validation():
@@ -114,7 +129,7 @@ def test_disparity_discrepancy_nonneg_and_zero_on_same_samples():
 
 def test_theorem1_bound_holds_on_untrained_models():
     cov = make_id_blobs(3, 100, sigma=0.75, seed=70)
-    cov = LabeledDataset(cov.points, cov.labels, "COV", noise_eps=1.0)
+    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 200, seed=71, sigma=0.75)
     model = mlp_init((2, 8, 3), "tanh", seed=72)
     pool = theory.perturbed_pool([model], n_perturbed=4, seed=73)
@@ -166,7 +181,7 @@ def _bound_terms_reference(cov, sem, members):
 @pytest.mark.parametrize("scale", [None, 2.0, 0.2])
 def test_theorem1_bound_terms_equal_pairwise_reference(scale):
     cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
-    cov = LabeledDataset(cov.points, cov.labels, "COV", noise_eps=1.0)
+    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
     pool = _random_pool(4, seed=30)
     pool_terms = _bound_terms_reference(cov, sem, pool.members)
@@ -183,7 +198,7 @@ def test_theorem1_bound_terms_equal_pairwise_reference(scale):
 def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
     # one forward per member per sample set, plus the model's own two
     cov = make_id_blobs(3, 30, sigma=0.75, seed=77)
-    cov = LabeledDataset(cov.points, cov.labels, "COV", noise_eps=1.0)
+    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 40, seed=78, sigma=0.75)
     pool = _random_pool(6, seed=40)
     model = mlp_init((2, 8, 3), "tanh", seed=79)
