@@ -13,11 +13,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as datamod
 from . import runner
 from .config import METHODS, TrainConfig, load_config
+from .fileio import atomic_open
 from .nn import load_checkpoint, save_checkpoint
 
 
@@ -99,6 +98,11 @@ def _save(model, path) -> int:
     return 0
 
 
+def _write_text(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _run(args, cfg: TrainConfig) -> int:
     out = _out_dir(args)
     if args.command == "gen-data":
@@ -109,9 +113,7 @@ def _run(args, cfg: TrainConfig) -> int:
         datamod.write_dataset_csv(out / "id_eval.csv", id_eval)
         datamod.write_dataset_csv(out / "sem_test.csv", sem_test)
         for eps, d in cov.items():
-            # the shortest decimal that round-trips, so distinct eps never share a file
-            name = np.format_float_positional(eps, trim="-")
-            datamod.write_dataset_csv(out / f"cov_eps{name}.csv", d)
+            datamod.write_dataset_csv(out / datamod.cov_csv_name(eps), d)
         print(f"wrote datasets to {out}")
         return 0
     if args.command == "pretrain":
@@ -125,7 +127,7 @@ def _run(args, cfg: TrainConfig) -> int:
         return _save(runner.finetune(cfg, base), out / f"finetuned_{cfg.method}.ckpt")
     if args.command == "verify":
         checks = runner.verify(cfg, quick=args.quick)
-        (out / "verify.csv").write_text(runner.verify_csv(checks), encoding="utf-8")
+        _write_text(out / "verify.csv", runner.verify_csv(checks))
         for name, lhs, rhs, ok in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name} (lhs={lhs}, rhs={rhs})")
         return 0 if all(ok for *_, ok in checks) else 1
@@ -140,7 +142,7 @@ def _run(args, cfg: TrainConfig) -> int:
         for method, model in models.items():
             save_checkpoint(model, out / f"dilemma_{method}.ckpt")
         name, csv_text = "dilemma.csv", runner.dilemma_csv(rows)
-    (out / name).write_text(csv_text, encoding="utf-8")
+    _write_text(out / name, csv_text)
     print(csv_text, end="")
     return 0
 

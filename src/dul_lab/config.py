@@ -12,11 +12,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import check_sem_separation
+from .data import check_sem_separation, cov_csv_name
+from .fileio import atomic_open
 from .losses import LossSpec
 from .nn import ACTIVATIONS
 
 SCHEDULES = ("constant", "cosine")
+NAME_MAX = 255  # the longest file name, in bytes, that common file systems allow
 METHODS = ("none", "oe", "energy", "dpn", "dul")
 
 # substream purposes for the counter-based RNG (Philox, key = stream_key)
@@ -117,6 +119,10 @@ class TrainConfig:
             raise ValueError("eps_grid must be nonnegative")
         if len(set(self.eps_grid)) != len(self.eps_grid):
             raise ValueError("eps_grid values must be distinct")
+        for eps in self.eps_grid:
+            if len(cov_csv_name(eps).encode()) > NAME_MAX:
+                raise ValueError(f"eps_grid value {eps!r} would name a covariate "
+                                 f"file of over {NAME_MAX} bytes")
         if self.cov_eval_eps not in self.eps_grid:
             raise ValueError("cov_eval_eps must be one of eps_grid")
         check_sem_separation(self.k, self.sigma)
@@ -171,5 +177,5 @@ def save_config(cfg: TrainConfig, path) -> None:
             " ".join(str(x) for x in v) if isinstance(v, tuple) else v)
     parser = configparser.ConfigParser()
     parser.read_dict(sections)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         parser.write(fh)

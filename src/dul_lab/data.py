@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
+
 TAGS = ("ID", "COV", "SEM_TRAIN", "SEM_TEST")
 
 ID_RADIUS = 4.0
@@ -135,8 +137,15 @@ def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
 CSV_HEADER = ["x1", "x2", "label", "tag"]
 
 
+def cov_csv_name(eps: float) -> str:
+    """File name of the covariate-shifted set at noise level eps. eps is
+    written as the shortest decimal that round-trips, so distinct eps never
+    share a file."""
+    return f"cov_eps{np.format_float_positional(eps, trim='-')}.csv"
+
+
 def write_dataset_csv(path, d: LabeledDataset) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         labels = d.labels if d.labels is not None else np.full(d.n, -1, dtype=int)

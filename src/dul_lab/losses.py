@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from . import dirichlet as dmath
-from .nn import Batch, Mlp, grads_zeros_like
+from .nn import Batch, Mlp
 
 LOSS_KINDS = ("ce", "oe", "energy_margin", "dpn", "dul")
 
@@ -45,6 +44,30 @@ class LossSpec:
             raise ValueError(f"alpha_mapping must be one of {dmath.ALPHA_MAPPINGS}")
 
 
+def logsumexp(f: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """ln sum_j exp(f_ij) for each row of a float (n, K) array.
+
+    Each row's maximum is taken out and its ties counted, in the order of
+    the library logsumexp the tests compare against, so the result is
+    bit-identical to it, rows holding inf or nan included.
+    """
+    mx = f.max(axis=1, keepdims=True)
+    top = f == mx
+    m = top.sum(axis=1, keepdims=True)
+    # a row of infs gives inf - inf, a row with a nan m = 0: both end in
+    # the inf or nan the row's sum of exponentials has
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(top, 0.0, np.exp(f - mx)).sum(axis=1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + mx
+    return out if keepdims else out[:, 0]
+
+
+def softmax(f: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a float (n, K) array, shifted by the row max."""
+    e = np.exp(f - f.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def ce_loss(logits, labels, dirichlet_mode: bool = False,
             alpha_mapping: str = "relu_plus_one"):
     """Mean -ln p_y. In dirichlet mode p is the Dirichlet mean of the mapped
@@ -55,7 +78,7 @@ def ce_loss(logits, labels, dirichlet_mode: bool = False,
     if np.any(y < 0) or np.any(y >= k):
         raise ValueError("label out of range")
     if not dirichlet_mode:
-        logp = f - logsumexp(f, axis=1, keepdims=True)
+        logp = f - logsumexp(f, keepdims=True)
         value = float(-logp[np.arange(n), y].mean())
         grad = np.exp(logp)
         grad[np.arange(n), y] -= 1.0
@@ -73,7 +96,7 @@ def ce_loss(logits, labels, dirichlet_mode: bool = False,
 def oe_per_sample(logits) -> np.ndarray:
     """Cross-entropy between uniform and the softmax prediction, per row."""
     f = np.asarray(logits, dtype=float)
-    return logsumexp(f, axis=1) - f.mean(axis=1)
+    return logsumexp(f) - f.mean(axis=1)
 
 
 def oe_loss(logits):
@@ -81,12 +104,12 @@ def oe_loss(logits):
     f = np.asarray(logits, dtype=float)
     n, k = f.shape
     value = float(oe_per_sample(f).mean())
-    grad = (softmax(f, axis=1) - 1.0 / k) / n
+    grad = (softmax(f) - 1.0 / k) / n
     return value, grad
 
 
 def energy_scores(logits) -> np.ndarray:
-    return -logsumexp(np.asarray(logits, dtype=float), axis=1)
+    return -logsumexp(np.asarray(logits, dtype=float))
 
 
 def energy_margin_loss(id_logits, ood_logits, m_in: float, m_out: float):
@@ -101,8 +124,8 @@ def energy_margin_loss(id_logits, ood_logits, m_in: float, m_out: float):
     ho = np.maximum(m_out - eo, 0.0)
     value = float((hi**2).mean() + (ho**2).mean())
     # dE/df = -softmax(f)
-    gi = (2.0 * hi / fi.shape[0])[:, None] * (-softmax(fi, axis=1))
-    go = (2.0 * ho / fo.shape[0])[:, None] * softmax(fo, axis=1)
+    gi = (2.0 * hi / fi.shape[0])[:, None] * (-softmax(fi))
+    go = (2.0 * ho / fo.shape[0])[:, None] * softmax(fo)
     return value, (gi, go)
 
 
@@ -220,9 +243,5 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
     else:  # pragma: no cover - guarded by LossSpec
         raise ValueError(f"unknown loss kind {spec.kind!r}")
 
-    grads = m.backward(id_cache, gi)
-    ood_grads = m.backward(ood_cache, go)
-    total = grads_zeros_like(m)
-    for i in range(len(total)):
-        total[i] = (grads[i][0] + ood_grads[i][0], grads[i][1] + ood_grads[i][1])
-    return value, total
+    return value, [(gw + ow, gb + ob) for (gw, gb), (ow, ob)
+                   in zip(m.backward(id_cache, gi), m.backward(ood_cache, go))]

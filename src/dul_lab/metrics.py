@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import softmax
 
 from . import dirichlet as dmath
 from .data import LabeledDataset
-from .losses import energy_scores
+from .losses import energy_scores, softmax
 from .nn import Batch, Mlp
 
 SCORE_METHODS = ("msp", "maxlogit", "energy", "diffent", "strength")
@@ -39,7 +38,7 @@ def score_logits(logits, method: str, alpha_mapping: str = "relu_plus_one") -> n
     """OOD scores for a batch of logit rows."""
     f = np.atleast_2d(np.asarray(logits, dtype=float))
     if method == "msp":
-        return -softmax(f, axis=1).max(axis=1)
+        return -softmax(f).max(axis=1)
     if method == "maxlogit":
         return -f.max(axis=1)
     if method == "energy":

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
+
 ACTIVATIONS = ("relu", "tanh")
 
 
@@ -183,7 +185,7 @@ def save_checkpoint(m: Mlp, path) -> None:
         lines.append(f"{w.shape[0]} {w.shape[1]}")
         lines.append(" ".join(v.hex() for v in w.ravel()))
         lines.append(" ".join(v.hex() for v in b))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

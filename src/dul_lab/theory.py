@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .data import LabeledDataset
 from .dirichlet import SimplexVector, kl_categorical
-from .losses import oe_per_sample
+from .losses import logsumexp, oe_per_sample, softmax
 from .nn import Batch, Mlp
 
 
@@ -78,15 +77,15 @@ def disparity(samples, f: Mlp, f2: Mlp) -> float:
     x = np.asarray(samples, dtype=float)
     if x.shape[0] < 1:
         raise ValueError("need at least one sample")
-    pa = softmax(f.forward(Batch(x)), axis=1)
-    pb = softmax(f2.forward(Batch(x)), axis=1)
+    pa = softmax(f.forward(Batch(x)))
+    pb = softmax(f2.forward(Batch(x)))
     return float(_tvd_rows(pa, pb).mean())
 
 
 def _member_softmax(samples, members) -> list:
     """Each member's softmax predictions on the samples, one forward each."""
     batch = Batch(samples)
-    return [softmax(f.forward(batch), axis=1) for f in members]
+    return [softmax(f.forward(batch)) for f in members]
 
 
 def _max_pair_gap(p_probs: list, q_probs: list) -> float:
@@ -111,7 +110,7 @@ def lemma2_check(ood_logits) -> dict:
     number of rows whose own TVD exceeds their own bound."""
     f = np.asarray(ood_logits, dtype=float)
     k = f.shape[1]
-    probs = softmax(f, axis=1)
+    probs = softmax(f)
     tv = _tvd_rows(probs, np.full_like(probs, 1.0 / k))
     slack = np.maximum(oe_per_sample(f) - np.log(k), 0.0)
     bound = np.sqrt(slack / 2.0)
@@ -146,7 +145,7 @@ def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
 
     logits_cov = model.forward(Batch(cov.points))
     k = logits_cov.shape[1]
-    logp = logits_cov - logsumexp(logits_cov, axis=1, keepdims=True)
+    logp = logits_cov - logsumexp(logits_cov, keepdims=True)
     gerror = float(-logp[np.arange(cov.n), cov.labels].mean())
 
     probs_cov = _member_softmax(cov.points, pool.members)

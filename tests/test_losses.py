@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from dul_lab import dirichlet as dmath
 from dul_lab import losses
@@ -23,6 +27,43 @@ def fd_logit_grad(fn, f, h=1e-6):
 def assert_close_grads(analytic, fd, tol=1e-5):
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(analytic - fd)) < tol * scale
+
+
+# logit entries: values that tie often, the largest finite floats, and any
+# finite float between them
+LOGITS = st.one_of(st.sampled_from([0.0, 1.0, -2.5, 1e308, -1e308]),
+                   st.floats(min_value=-1e308, max_value=1e308))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=2, max_value=6), st.booleans())
+def test_logsumexp_and_softmax_equal_scipy_bit_for_bit(data, n, k, flat_row):
+    f = data.draw(arrays(float, (n, k), elements=LOGITS))
+    if flat_row:
+        f[0] = f[0, 0]
+    with np.errstate(over="ignore"):  # f - max overflows to -inf in both
+        assert np.array_equal(losses.logsumexp(f), special.logsumexp(f, axis=1))
+        assert np.array_equal(losses.logsumexp(f, keepdims=True),
+                              special.logsumexp(f, axis=1, keepdims=True))
+        assert np.array_equal(losses.softmax(f), special.softmax(f, axis=1))
+
+
+def test_logsumexp_and_softmax_non_finite_rows_match_scipy():
+    inf, nan = np.inf, np.nan
+    f = np.array([[inf, 0.0, 1.0], [inf, inf, 0.0], [inf, -inf, 0.0],
+                  [-inf, -inf, -inf], [nan, 0.0, 1.0], [nan, inf, -inf],
+                  [-inf, 0.0, 1.0], [0.0, 1.0, 2.0]])
+    with np.errstate(invalid="ignore"):  # inf - inf in softmax, as in scipy
+        got, want = losses.logsumexp(f), special.logsumexp(f, axis=1)
+        assert np.array_equal(losses.softmax(f), special.softmax(f, axis=1),
+                              equal_nan=True)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isfinite(got).tolist() == [False] * 6 + [True] * 2
+    # so a training loss over such logits is non-finite and the loop stops
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(losses.ce_loss(f[:6], np.zeros(6, dtype=int))[0])
+        assert not np.isfinite(losses.oe_loss(f[:6])[0])
 
 
 def test_loss_spec_validation():

@@ -1,5 +1,6 @@
 """Tests for configuration handling, training plumbing, and the CLI."""
 
+import errno
 from dataclasses import fields
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dul_lab import cli, config, runner, theory
+from dul_lab import cli, config, fileio, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
+from dul_lab.data import make_id_blobs, write_dataset_csv
 from dul_lab.metrics import EvalReport
-from dul_lab.nn import load_checkpoint
+from dul_lab.nn import load_checkpoint, mlp_init, save_checkpoint
 
 TINY = TrainConfig(
     arch=(2, 8, 3), seed=5, pretrain_epochs=3, finetune_epochs=2,
@@ -57,9 +59,13 @@ def test_config_validation():
                 dict(lr0=float("nan")), dict(momentum=float("inf")),
                 dict(seed=-1), dict(seed=2**120),
                 dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0),
-                dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5)):
+                dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5),
+                # gen-data wrote part of its files, then hit a name too long
+                dict(eps_grid=(0.0, 1e-300), cov_eval_eps=0.0),
+                dict(eps_grid=(0.0, 1e300), cov_eval_eps=0.0)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    TrainConfig(eps_grid=(0.0, 1e-242), cov_eval_eps=0.0)  # a 255-byte name
 
 
 def test_config_round_trip(tmp_path):
@@ -315,6 +321,38 @@ def test_cli_gen_data_writes_one_file_per_eps(tmp_path):
         "cov_eps0.csv", "cov_eps1.0000001.csv", "cov_eps1.0000002.csv"]
 
 
+def _cut_open(*args, **kwargs):
+    """open() whose file takes half of the first write and then fails, as
+    on a full disk."""
+    fh = open(*args, **kwargs)
+    real = fh.write
+
+    def write(text):
+        real(text[:len(text) // 2])
+        fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    fh.write = write
+    return fh
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: save_checkpoint(mlp_init((2, 4, 3), seed=1), p),
+    lambda p: write_dataset_csv(p, make_id_blobs(3, 2, seed=1)),
+    lambda p: save_config(TINY, p),
+    lambda p: cli._write_text(p, "check,lhs,rhs,pass\n"),
+], ids=["checkpoint", "dataset", "config", "report"])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(fileio, "open", _cut_open, raising=False)
+    with pytest.raises(OSError):
+        write(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
 def test_cli_pretrain_eval_sweep(tmp_path):
     cfgfile = write_tiny_config(tmp_path / "run.ini")
     out = str(tmp_path / "out")
@@ -371,6 +409,7 @@ def test_cli_missing_config_exits_2(tmp_path):
     "[data]\neps_grid = 0 0.5 0.5\ncov_eval_eps = 0.5\n",
     "[train]\nlr0 = nan\n",
     "[train]\nseed = -1\n",
+    "[data]\neps_grid = 0 1e-300\ncov_eval_eps = 0\n",
 ])
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
