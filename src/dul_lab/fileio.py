@@ -2,8 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
 import os
+import stat
 from contextlib import contextmanager, suppress
+
+_serial = itertools.count()
+
+
+def _create_beside(path):
+    """Create a new file in path's directory and return (name, text file).
+
+    The name (".<pid>.<n>.tmp") does not grow with path's own name, so a
+    target of the longest name the file system allows still gets one.
+    """
+    folder = os.path.dirname(path)
+    while True:
+        tmp = os.path.join(folder, f".{os.getpid()}.{next(_serial)}.tmp")
+        try:
+            return tmp, open(tmp, "x", encoding="utf-8", newline="\n")
+        except FileExistsError:
+            continue
 
 
 @contextmanager
@@ -13,13 +32,16 @@ def atomic_open(path):
     The text goes to a temporary file beside path, which replaces path only
     once the block has finished without an error. If the block or the
     replacement fails, the temporary file is removed and path keeps its old
-    bytes, or stays absent.
+    bytes, or stays absent. As with open(path, "w"), a symlink at path is
+    written through and an existing file keeps its permission bits.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    path = os.path.realpath(path)
+    tmp, fh = _create_beside(path)
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             yield fh
+        with suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         with suppress(FileNotFoundError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dul_lab import cli, config, fileio, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
-from dul_lab.data import make_id_blobs, write_dataset_csv
+from dul_lab.data import cov_csv_name, make_id_blobs, write_dataset_csv
 from dul_lab.metrics import EvalReport
 from dul_lab.nn import load_checkpoint, mlp_init, save_checkpoint
 
@@ -321,6 +321,18 @@ def test_cli_gen_data_writes_one_file_per_eps(tmp_path):
         "cov_eps0.csv", "cov_eps1.0000001.csv", "cov_eps1.0000002.csv"]
 
 
+def test_cli_gen_data_writes_a_255_byte_name(tmp_path):
+    # the temporary file of an atomic write must not lengthen the name
+    path = tmp_path / "run.ini"
+    save_config(TINY.with_(eps_grid=(0.0, 1e-242), cov_eval_eps=0.0), path)
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "gen-data"]) == 0
+    name = cov_csv_name(1e-242)
+    assert len(name.encode()) == config.NAME_MAX
+    assert sorted(p.name for p in (tmp_path / "out").glob("cov_eps*")) == sorted([
+        "cov_eps0.csv", name])
+    assert not list((tmp_path / "out").glob(".*.tmp"))
+
+
 def _cut_open(*args, **kwargs):
     """open() whose file takes half of the first write and then fails, as
     on a full disk."""
@@ -351,6 +363,20 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
         write(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_atomic_write_goes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    with fileio.atomic_open(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
 
 def test_cli_pretrain_eval_sweep(tmp_path):
