@@ -76,13 +76,18 @@ class _UsageError(Exception):
     """A bad argument or input file found after config load (exit 2)."""
 
 
-def _load_model(path):
+def _load_model(path, cfg: TrainConfig):
     try:
-        return load_checkpoint(path)
+        model = load_checkpoint(path)
     except FileNotFoundError:
         raise _UsageError(f"checkpoint not found: {path}") from None
     except (ValueError, OSError) as exc:  # damaged, or a directory
         raise _UsageError(str(exc)) from None
+    if (model.in_dim, model.out_dim) != (cfg.arch[0], cfg.k):
+        raise _UsageError(
+            f"{path}: checkpoint maps {model.in_dim} inputs to {model.out_dim} "
+            f"classes, the config {cfg.arch[0]} inputs to {cfg.k} classes")
+    return model
 
 
 def _out_dir(args) -> Path:
@@ -123,7 +128,7 @@ def _run(args, cfg: TrainConfig) -> int:
             cfg = cfg.with_(method=args.method)
         if cfg.method == "none":
             raise _UsageError("finetune needs --method or a config method")
-        base = _load_model(args.checkpoint or out / "pretrained.ckpt")
+        base = _load_model(args.checkpoint or out / "pretrained.ckpt", cfg)
         return _save(runner.finetune(cfg, base), out / f"finetuned_{cfg.method}.ckpt")
     if args.command == "verify":
         checks = runner.verify(cfg, quick=args.quick)
@@ -133,10 +138,10 @@ def _run(args, cfg: TrainConfig) -> int:
         return 0 if all(ok for *_, ok in checks) else 1
     if args.command == "eval":
         name, csv_text = "eval_report.csv", runner.evaluate(
-            cfg, _load_model(args.checkpoint)).to_csv()
+            cfg, _load_model(args.checkpoint, cfg)).to_csv()
     elif args.command == "sweep":
         name, csv_text = "sweep.csv", runner.sweep_csv(
-            runner.noise_sweep(cfg, _load_model(args.checkpoint)))
+            runner.noise_sweep(cfg, _load_model(args.checkpoint, cfg)))
     else:  # repro-dilemma
         rows, models = runner.dilemma_table(cfg)
         for method, model in models.items():

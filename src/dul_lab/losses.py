@@ -233,15 +233,13 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
                                      spec.target_alpha0, spec.smoothing,
                                      spec.alpha_mapping)
         value = dpn_val
-    elif spec.kind == "dul":
+    else:  # dul, the last kind LossSpec admits
         if frozen is None:
             raise ValueError("dul needs the frozen pretrained model")
         frozen_logits = frozen.forward(ood_batch)
         value, (gi, go) = dul_loss(id_logits, id_batch.labels, ood_logits,
                                    frozen_logits, spec.lam, spec.gamma,
                                    spec.m_out, spec.tau, spec.alpha_mapping)
-    else:  # pragma: no cover - guarded by LossSpec
-        raise ValueError(f"unknown loss kind {spec.kind!r}")
 
     return value, [(gw + ow, gb + ob) for (gw, gb), (ow, ob)
                    in zip(m.backward(id_cache, gi), m.backward(ood_cache, go))]

@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dirichlet as dmath
-from .data import LabeledDataset
 from .losses import energy_scores, softmax
-from .nn import Batch, Mlp
 
 SCORE_METHODS = ("msp", "maxlogit", "energy", "diffent", "strength")
 
@@ -93,12 +91,12 @@ def aupr(s: ScoreSet) -> float:
     return float(np.sum((recall - prev_recall) * precision))
 
 
-def accuracy(m: Mlp, d: LabeledDataset) -> float:
-    """Fraction of correct argmax predictions; ties go to the lowest class."""
-    if d.labels is None:
-        raise ValueError("accuracy needs a labeled dataset")
-    logits = m.forward(Batch(d.points))
-    return float(np.mean(np.argmax(logits, axis=1) == d.labels))
+def accuracy(logits, labels) -> float:
+    """Fraction of logit rows whose argmax is the label; ties go to the
+    lowest class."""
+    if labels is None:
+        raise ValueError("accuracy needs labels")
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def csv_table(columns, rows) -> str:
@@ -136,9 +134,8 @@ class EvalReport:
             for method in sorted(self.detection)))
 
 
-def uncertainty_stats(m: Mlp, points, alpha_mapping: str = "relu_plus_one"):
-    """(mean differential entropy, mean total uncertainty) over points."""
-    alpha = dmath.alpha_rows(m.forward(Batch(np.asarray(points, dtype=float))),
-                             alpha_mapping)
+def uncertainty_stats(logits, alpha_mapping: str = "relu_plus_one"):
+    """(mean differential entropy, mean total uncertainty) over logit rows."""
+    alpha = dmath.alpha_rows(logits, alpha_mapping)
     return (float(dmath.diff_entropy_rows(alpha).mean()),
             float(dmath.total_uncertainty_rows(alpha).mean()))

@@ -121,8 +121,9 @@ def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
     """Detection metrics for every scoring method on held-out data, plus
     ID/COV accuracy and mean uncertainty statistics."""
     id_eval, cov, sem_test = make_eval_datasets(cfg)
-    id_logits = model.forward(Batch(id_eval.points))
-    sem_logits = model.forward(Batch(sem_test.points))
+    cov_eval = cov[cfg.cov_eval_eps]
+    id_logits, cov_logits, sem_logits = (model.forward(Batch(d.points))
+                                         for d in (id_eval, cov_eval, sem_test))
     report = EvalReport()
     for method in metmod.SCORE_METHODS:
         s = ScoreSet(metmod.score_logits(id_logits, method, cfg.alpha_mapping),
@@ -130,13 +131,11 @@ def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
                      method)
         report.detection[method] = (metmod.fpr_at_95tpr(s), metmod.auroc(s),
                                     metmod.aupr(s))
-    report.id_acc = metmod.accuracy(model, id_eval)
-    report.cov_acc = metmod.accuracy(model, cov[cfg.cov_eval_eps])
-    for tag, pts in (("ID", id_eval.points),
-                     ("COV", cov[cfg.cov_eval_eps].points),
-                     ("SEM_TEST", sem_test.points)):
-        report.uncertainty[tag] = metmod.uncertainty_stats(
-            model, pts, cfg.alpha_mapping)
+    report.id_acc = metmod.accuracy(id_logits, id_eval.labels)
+    report.cov_acc = metmod.accuracy(cov_logits, cov_eval.labels)
+    for tag, logits in (("ID", id_logits), ("COV", cov_logits),
+                        ("SEM_TEST", sem_logits)):
+        report.uncertainty[tag] = metmod.uncertainty_stats(logits, cfg.alpha_mapping)
     return report
 
 
@@ -149,12 +148,13 @@ def noise_sweep(cfg: TrainConfig, model: Mlp):
     rows = []
     for eps in cfg.eps_grid:
         d = cov[eps]
-        du, tu = metmod.uncertainty_stats(model, d.points, cfg.alpha_mapping)
+        logits = model.forward(Batch(d.points))
+        du, tu = metmod.uncertainty_stats(logits, cfg.alpha_mapping)
         if base_du is None:
             base_du = du  # first grid entry is eps = 0, i.e. the ID set
         rows.append({
             "eps": float(eps),
-            "cov_acc": metmod.accuracy(model, d),
+            "cov_acc": metmod.accuracy(logits, d.labels),
             "shifted_du": du - base_du,
             "mean_du": du,
             "mean_total": tu,
@@ -169,13 +169,20 @@ def sweep_csv(rows) -> str:
     return csv_table(SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
 
 
+def _train_methods(cfg: TrainConfig, methods) -> dict:
+    """Pretrain, then finetune the pretrained model with each listed method.
+    Returns method -> model, with the pretrained model under "none"."""
+    base = pretrain(cfg)
+    models = {"none": base}
+    for method in methods:
+        models[method] = finetune(cfg.with_(method=method), base)
+    return models
+
+
 def dilemma_table(cfg: TrainConfig):
     """Pretrain, finetune each method, and report each method's natural
     detector metrics next to its covariate accuracy."""
-    base = pretrain(cfg)
-    models = {"none": base}
-    for method in METHODS[1:]:
-        models[method] = finetune(cfg.with_(method=method), base)
+    models = _train_methods(cfg, METHODS[1:])
     rows = []
     for method in METHODS:
         report = evaluate(cfg, models[method])
@@ -245,10 +252,8 @@ def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
     run_cfg = cfg.with_(pretrain_epochs=min(cfg.pretrain_epochs, 30),
                         finetune_epochs=min(cfg.finetune_epochs, 5)) \
         if quick else cfg
-    base = pretrain(run_cfg)
-    candidates = [base]
-    for method in ("oe", "dul") if quick else METHODS[1:]:
-        candidates.append(finetune(run_cfg.with_(method=method), base))
+    candidates = list(_train_methods(
+        run_cfg, ("oe", "dul") if quick else METHODS[1:]).values())
     pool = thmod.perturbed_pool(candidates, n_perturbed=8, seed=cfg.seed)
     _, cov, sem_test = make_eval_datasets(run_cfg)
     n_thm = 0

@@ -1,9 +1,9 @@
 """Numeric verification of the detection-vs-generalization bound.
 
-Total variation, disparity, disparity discrepancy over a finite model pool,
-the two supporting lemma inequalities, and the generalization-error lower
-bound. Every check here is a theorem on the empirical samples: a violation
-(beyond float tolerance) indicates an implementation bug.
+Total variation, disparity, the two supporting lemma inequalities, and the
+generalization-error lower bound with its disparity discrepancy over a
+finite model pool. Every check here is a theorem on the empirical samples:
+a violation (beyond float tolerance) indicates an implementation bug.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .dirichlet import SimplexVector, kl_categorical
-from .losses import logsumexp, oe_per_sample, softmax
+from .losses import ce_loss, oe_per_sample, softmax
 from .nn import Batch, Mlp
 
 
@@ -65,11 +65,12 @@ def tvd(p: SimplexVector, q: SimplexVector) -> float:
     """Total variation distance: half the L1 distance on the simplex."""
     if p.k != q.k:
         raise ValueError("length mismatch")
-    return float(0.5 * np.sum(np.abs(p.p - q.p)))
+    return float(_tvd_rows(p.p, q.p))
 
 
 def _tvd_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return 0.5 * np.sum(np.abs(a - b), axis=1)
+    """Total variation distance along the last axis."""
+    return 0.5 * np.sum(np.abs(a - b), axis=-1)
 
 
 def disparity(samples, f: Mlp, f2: Mlp) -> float:
@@ -80,12 +81,6 @@ def disparity(samples, f: Mlp, f2: Mlp) -> float:
     pa = softmax(f.forward(Batch(x)))
     pb = softmax(f2.forward(Batch(x)))
     return float(_tvd_rows(pa, pb).mean())
-
-
-def _member_softmax(samples, members) -> list:
-    """Each member's softmax predictions on the samples, one forward each."""
-    batch = Batch(samples)
-    return [softmax(f.forward(batch)) for f in members]
 
 
 def _max_pair_gap(p_probs: list, q_probs: list) -> float:
@@ -99,21 +94,18 @@ def _max_pair_gap(p_probs: list, q_probs: list) -> float:
     return best
 
 
-def disparity_discrepancy(p_samples, q_samples, pool: HypothesisPool) -> float:
-    """Max over ordered model pairs of disparity(P) - disparity(Q)."""
-    return _max_pair_gap(_member_softmax(p_samples, pool.members),
-                         _member_softmax(q_samples, pool.members))
+def _uniform_ce_slack(logits: np.ndarray) -> np.ndarray:
+    """Per row, how far the uniform cross-entropy exceeds its minimum ln K."""
+    return np.maximum(oe_per_sample(logits) - np.log(logits.shape[1]), 0.0)
 
 
 def lemma2_check(ood_logits) -> dict:
     """Mean TVD to uniform vs the mean uniform-CE slack bound, and the
     number of rows whose own TVD exceeds their own bound."""
     f = np.asarray(ood_logits, dtype=float)
-    k = f.shape[1]
     probs = softmax(f)
-    tv = _tvd_rows(probs, np.full_like(probs, 1.0 / k))
-    slack = np.maximum(oe_per_sample(f) - np.log(k), 0.0)
-    bound = np.sqrt(slack / 2.0)
+    tv = _tvd_rows(probs, np.full_like(probs, 1.0 / f.shape[1]))
+    bound = np.sqrt(_uniform_ce_slack(f) / 2.0)
     lhs, rhs = float(tv.mean()), float(bound.mean())
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-9,
             "row_violations": int(np.count_nonzero(~(tv <= bound + 1e-9)))}
@@ -137,19 +129,22 @@ def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
     """Generalization-error lower bound from the detection loss, the pool
     disparity discrepancy, and the pool surrogate for the minimal joint
     uniformity constant. The model is added to the pool if absent, which the
-    derivation requires."""
+    derivation requires. Each member is forwarded once per sample set, and
+    the model's own terms come from its logits among them."""
     if cov.labels is None:
         raise ValueError("covariate-shifted data must be labeled")
     members = pool.members if model in pool.members else pool.members + (model,)
-    pool = HypothesisPool(members)
+    HypothesisPool(members)  # an appended model must share the dimensions
+    cov_batch, sem_batch = Batch(cov.points), Batch(sem.points)
+    logits_cov = [f.forward(cov_batch) for f in members]
+    logits_sem = [f.forward(sem_batch) for f in members]
+    own = members.index(model)
 
-    logits_cov = model.forward(Batch(cov.points))
-    k = logits_cov.shape[1]
-    logp = logits_cov - logsumexp(logits_cov, keepdims=True)
-    gerror = float(-logp[np.arange(cov.n), cov.labels].mean())
+    k = logits_cov[own].shape[1]
+    gerror = ce_loss(logits_cov[own], cov.labels)[0]
 
-    probs_cov = _member_softmax(cov.points, pool.members)
-    probs_sem = _member_softmax(sem.points, pool.members)
+    probs_cov = [softmax(f) for f in logits_cov]
+    probs_sem = [softmax(f) for f in logits_sem]
     uniform = np.full(k, 1.0 / k)
     lambda_const = np.inf
     for pc, ps in zip(probs_cov, probs_sem):
@@ -160,9 +155,7 @@ def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
     # one-hot ground truth: TV to uniform is 1 - 1/K and entropy is 0
     c_const = 2.0 * (1.0 - 1.0 / k) - 2.0 * lambda_const - 1.0
 
-    sem_logits = model.forward(Batch(sem.points))
-    slack = np.maximum(oe_per_sample(sem_logits) - np.log(k), 0.0)
-    detect_term = float(np.sqrt(2.0 * slack).mean())
+    detect_term = float(np.sqrt(2.0 * _uniform_ce_slack(logits_sem[own])).mean())
     d_ff = _max_pair_gap(probs_cov, probs_sem)
     lower_bound = c_const - detect_term - 2.0 * d_ff
     return BoundReport(

@@ -274,10 +274,9 @@ def test_dul_anchor_invariants(experiment):
     run = experiment["runs"][1]
     cfg = run["cfg"]
     _, sem_train = runner.make_datasets(cfg)
-    du0, tu0 = metrics.uncertainty_stats(run["models"]["none"],
-                                         sem_train.points)
-    du1, tu1 = metrics.uncertainty_stats(run["models"]["dul"],
-                                         sem_train.points)
+    batch = Batch(sem_train.points)
+    du0, tu0 = metrics.uncertainty_stats(run["models"]["none"].forward(batch))
+    du1, tu1 = metrics.uncertainty_stats(run["models"]["dul"].forward(batch))
     assert du1 - du0 >= cfg.dul_margin / 2.0
     assert abs(tu1 - tu0) <= 0.05
 

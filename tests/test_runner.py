@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dul_lab import cli, config, fileio, runner, theory
+from dul_lab import cli, config, fileio, metrics, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
 from dul_lab.data import cov_csv_name, make_id_blobs, write_dataset_csv
 from dul_lab.metrics import EvalReport
-from dul_lab.nn import load_checkpoint, mlp_init, save_checkpoint
+from dul_lab.nn import Batch, Mlp, load_checkpoint, mlp_init, save_checkpoint
 
 TINY = TrainConfig(
     arch=(2, 8, 3), seed=5, pretrain_epochs=3, finetune_epochs=2,
@@ -206,8 +206,8 @@ def test_pretrain_learns_the_blobs():
     cfg = TINY.with_(pretrain_epochs=30)
     model = runner.pretrain(cfg)
     id_eval, _, _ = runner.make_eval_datasets(cfg)
-    from dul_lab.metrics import accuracy
-    assert accuracy(model, id_eval) > 0.9
+    logits = model.forward(Batch(id_eval.points))
+    assert metrics.accuracy(logits, id_eval.labels) > 0.9
 
 
 def test_finetune_requires_method():
@@ -232,6 +232,29 @@ def test_evaluate_report_fields():
         assert 0.0 <= fpr <= 1.0 and 0.0 <= roc <= 1.0 and 0.0 <= pr <= 1.0
     assert 0.0 <= report.id_acc <= 1.0
     assert set(report.uncertainty) == {"ID", "COV", "SEM_TEST"}
+
+
+def _count_forwards(monkeypatch) -> list:
+    calls = []
+    real = Mlp.forward_cache
+    monkeypatch.setattr(Mlp, "forward_cache",
+                        lambda self, x: calls.append(1) or real(self, x))
+    return calls
+
+
+def test_evaluate_forwards_each_point_set_once(monkeypatch):
+    # id_eval, cov[cov_eval_eps] and sem_test
+    model = mlp_init(TINY.arch, TINY.activation, seed=3)
+    calls = _count_forwards(monkeypatch)
+    runner.evaluate(TINY, model)
+    assert len(calls) == 3
+
+
+def test_noise_sweep_forwards_each_eps_once(monkeypatch):
+    model = mlp_init(TINY.arch, TINY.activation, seed=3)
+    calls = _count_forwards(monkeypatch)
+    runner.noise_sweep(TINY, model)
+    assert len(calls) == len(TINY.eps_grid)
 
 
 def test_csv_tables_golden():
@@ -471,11 +494,18 @@ def test_cli_unknown_command_exits_2():
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep", "finetune"])
-@pytest.mark.parametrize("content", [None, "dul-mlp-v1\ntanh\n2\n"])
+@pytest.mark.parametrize("content", [
+    None, "dul-mlp-v1\ntanh\n2\n",
+    # well-formed, but the default config has 2 inputs and k = 3
+    pytest.param((2, 8, 5), id="2-8-5"), pytest.param((3, 8, 3), id="3-8-3")])
 def test_cli_bad_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, content):
     ckpt = tmp_path / "model.ckpt"
     if content is None:
         expected = f"error: checkpoint not found: {ckpt}\n"
+    elif isinstance(content, tuple):
+        save_checkpoint(mlp_init(content, seed=0), ckpt)
+        expected = (f"error: {ckpt}: checkpoint maps {content[0]} inputs to "
+                    f"{content[-1]} classes, the config 2 inputs to 3 classes\n")
     else:
         ckpt.write_text(content, encoding="utf-8")  # cut after the header
         expected = f"error: {ckpt}: checkpoint ends early\n"

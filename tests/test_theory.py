@@ -117,16 +117,6 @@ def test_disparity_properties():
         theory.disparity(np.zeros((0, 2)), f, g)
 
 
-def test_disparity_discrepancy_nonneg_and_zero_on_same_samples():
-    rng = np.random.default_rng(67)
-    x = rng.standard_normal((30, 2))
-    y = rng.standard_normal((30, 2)) + 3.0
-    models = [mlp_init((2, 8, 3), "tanh", seed=s) for s in range(3)]
-    pool = HypothesisPool(tuple(models))
-    assert theory.disparity_discrepancy(x, x, pool) == 0.0
-    assert theory.disparity_discrepancy(x, y, pool) >= 0.0
-
-
 def test_theorem1_bound_holds_on_untrained_models():
     cov = make_id_blobs(3, 100, sigma=0.75, seed=70)
     cov = LabeledDataset(cov.points, cov.labels, "COV")
@@ -146,16 +136,19 @@ def _random_pool(n_members, seed):
                                 for s in range(n_members)))
 
 
-def test_disparity_discrepancy_equals_pairwise_disparity():
-    rng = np.random.default_rng(68)
-    x = rng.standard_normal((40, 2))
-    y = rng.standard_normal((50, 2)) + 1.5
-    pool = _random_pool(5, seed=20)
-    oracle = max(theory.disparity(x, f, f2) - theory.disparity(y, f, f2)
-                 for f in pool.members for f2 in pool.members)
-    got = theory.disparity_discrepancy(x, y, pool)
-    assert got > 0.0
-    assert got == max(0.0, oracle)
+def test_theorem1_bound_d_ff_nonneg_and_zero_on_same_samples():
+    rng = np.random.default_rng(67)
+    x = rng.standard_normal((30, 2))
+    y = rng.standard_normal((30, 2)) + 3.0
+    cov = LabeledDataset(x, rng.integers(0, 3, size=30), "COV")
+    pool = _random_pool(3, seed=0)
+    for model in (pool.members[0], mlp_init((2, 8, 3), "tanh", seed=9)):
+        same = theory.theorem1_bound(cov, LabeledDataset(x, None, "SEM_TEST"),
+                                     model, pool)
+        assert same.d_ff == 0.0
+        shifted = theory.theorem1_bound(cov, LabeledDataset(y, None, "SEM_TEST"),
+                                        model, pool)
+        assert shifted.d_ff >= 0.0
 
 
 def _bound_terms_reference(cov, sem, members):
@@ -192,11 +185,13 @@ def test_theorem1_bound_terms_equal_pairwise_reference(scale):
         terms = _bound_terms_reference(cov, sem, pool.members + (model,))
         assert terms != pool_terms  # the appended model must matter
     rep = theory.theorem1_bound(cov, sem, model, pool)
+    assert rep.d_ff > 0.0  # a pair gap, not the identical pair's floor of 0
     assert (rep.d_ff, rep.lambda_const) == terms
 
 
 def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
-    # one forward per member per sample set, plus the model's own two
+    # one forward per member per sample set; the model's own terms reuse
+    # its forwards, whether it is a member or is appended
     cov = make_id_blobs(3, 30, sigma=0.75, seed=77)
     cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 40, seed=78, sigma=0.75)
@@ -207,4 +202,7 @@ def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
     monkeypatch.setattr(Mlp, "forward_cache",
                         lambda self, x: calls.append(1) or real(self, x))
     theory.theorem1_bound(cov, sem, model, pool)
-    assert 0 < len(calls) <= 2 * (pool.size + 1) + 2
+    assert len(calls) == 2 * (pool.size + 1)
+    calls.clear()
+    theory.theorem1_bound(cov, sem, pool.members[3], pool)
+    assert len(calls) == 2 * pool.size
