@@ -60,9 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args) -> TrainConfig:
     config = getattr(args, "config", None)
-    if config is not None and not os.path.exists(config):
-        print(f"error: config file not found: {config}", file=sys.stderr)
-        raise SystemExit(2)
     seed = getattr(args, "seed", None)
     try:
         cfg = TrainConfig() if config is None else load_config(config)

@@ -61,15 +61,15 @@ class TrainConfig:
     batch_id: int = _key("train", 128)
     batch_ood: int = _key("train", 256)
     method: str = _key("train", "none")
-    lam: float = _key("loss", 3.0)
-    gamma: float = _key("loss", 30.0)
-    m_in: float = _key("loss", -12.0)
-    m_out: float = _key("loss", -4.0)
-    tau: int = _key("loss", 1)
+    lam: float = _key("loss", LossSpec.lam)
+    gamma: float = _key("loss", LossSpec.gamma)
+    m_in: float = _key("loss", LossSpec.m_in)
+    m_out: float = _key("loss", LossSpec.m_out)
+    tau: int = _key("loss", LossSpec.tau)
     dul_margin: float = _key("loss", 0.4)
-    target_alpha0: float = _key("loss", 15.0)
-    smoothing: float = _key("loss", 0.01)
-    alpha_mapping: str = _key("loss", "relu_plus_one")
+    target_alpha0: float = _key("loss", LossSpec.target_alpha0)
+    smoothing: float = _key("loss", LossSpec.smoothing)
+    alpha_mapping: str = _key("loss", LossSpec.alpha_mapping)
     k: int = _key("data", 3)
     n_per_class: int = _key("data", 500)
     radius: float = _key("data", 4.0)
@@ -102,6 +102,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr0 <= 0 or self.finetune_lr0 <= 0:
             raise ValueError("learning rates must be positive")
+        if not 0.0 <= self.momentum < 1.0:  # sgd_step's rule
+            raise ValueError("momentum must be in [0, 1)")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.schedule not in SCHEDULES:
@@ -125,6 +127,8 @@ class TrainConfig:
                                  f"file of over {NAME_MAX} bytes")
         if self.cov_eval_eps not in self.eps_grid:
             raise ValueError("cov_eval_eps must be one of eps_grid")
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
         check_sem_separation(self.k, self.sigma)
         # the loss rules live in LossSpec; every method's spec shares these
         LossSpec(kind="dul", lam=self.lam, gamma=self.gamma, tau=self.tau,
@@ -146,9 +150,9 @@ def _parse(default, raw: str):
 
 
 def load_config(path) -> TrainConfig:
-    """Parse and validate a config file. Any error (syntax, unknown key, bad
-    value, failed TrainConfig check) is a one-line ValueError that starts
-    with the path."""
+    """Parse and validate a config file. Any error (unreadable file, syntax,
+    unknown key, bad value, failed TrainConfig check) is a one-line
+    ValueError that starts with the path."""
     schema = {f.name: f for f in fields(TrainConfig)}
     sections = {f.metadata["section"] for f in schema.values()}
     parser = configparser.ConfigParser()
@@ -164,6 +168,8 @@ def load_config(path) -> TrainConfig:
                     raise ValueError(f"unknown key {key!r} in [{section}]")
                 values[key] = _parse(schema[key].default, raw)
         return TrainConfig(**values)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ValueError(f"{path}: {exc.strerror}") from None
     except (ValueError, configparser.Error) as exc:
         # configparser messages span lines; keep the error to one line
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None

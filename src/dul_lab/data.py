@@ -151,29 +151,3 @@ def write_dataset_csv(path, d: LabeledDataset) -> None:
         labels = d.labels if d.labels is not None else np.full(d.n, -1, dtype=int)
         for (x1, x2), y in zip(d.points, labels):
             writer.writerow([repr(float(x1)), repr(float(x2)), int(y), d.tag])
-
-
-def read_dataset_csv(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    if rows[0] != CSV_HEADER:
-        raise ValueError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
-    points, labels, tags = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 columns, got {len(row)}")
-        try:
-            points.append((float(row[0]), float(row[1])))
-            labels.append(int(row[2]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        tags.append(row[3])
-    tag = tags[0]
-    if any(t != tag for t in tags):
-        raise ValueError(f"{path}: mixed tags in one file")
-    y = np.array(labels)
-    return LabeledDataset(np.array(points), None if np.all(y == -1) else y, tag)

@@ -22,10 +22,10 @@ LOSS_KINDS = ("ce", "oe", "energy_margin", "dpn", "dul")
 @dataclass(frozen=True)
 class LossSpec:
     kind: str
-    lam: float = 0.3
-    gamma: float = 2.0
-    m_in: float = -25.0
-    m_out: float = -7.0
+    lam: float = 3.0
+    gamma: float = 30.0
+    m_in: float = -12.0
+    m_out: float = -4.0
     tau: int = 1
     target_alpha0: float = 15.0
     smoothing: float = 0.01

@@ -70,9 +70,6 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[0]
 
-    def copy(self) -> "Mlp":
-        return Mlp([(w.copy(), b.copy()) for w, b in self.layers], self.activation)
-
     def _act(self, z):
         return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
 

@@ -111,8 +111,8 @@ def finetune(cfg: TrainConfig, pretrained: Mlp) -> Mlp:
         raise ValueError("finetune requires a method other than 'none'")
     id_train, sem_train = make_datasets(cfg)
     spec = _loss_spec(cfg)
-    frozen = pretrained.copy() if cfg.method == "dul" else None
-    return _train_loop(pretrained.copy(), cfg, id_train, spec,
+    frozen = pretrained if cfg.method == "dul" else None
+    return _train_loop(pretrained, cfg, id_train, spec,
                        cfg.finetune_epochs, cfg.finetune_lr0,
                        sem_data=sem_train, frozen=frozen)
 

@@ -37,14 +37,16 @@ class HypothesisPool:
         return len(self.members)
 
 
-def perturbed_pool(models, n_perturbed: int = 8, rel_sigma: float = 0.01,
-                   seed: int = 0) -> HypothesisPool:
+POOL_REL_SIGMA = 0.01
+
+
+def perturbed_pool(models, n_perturbed: int = 8, seed: int = 0) -> HypothesisPool:
     """Pool of the given models plus Gaussian-perturbed copies of the first
-    one (noise scale = rel_sigma times the parameter RMS)."""
+    one (noise scale = POOL_REL_SIGMA times the parameter RMS)."""
     members = list(models)
     base = members[0]
     theta = base.get_flat()
-    sigma = rel_sigma * float(np.sqrt(np.mean(theta**2)))
+    sigma = POOL_REL_SIGMA * float(np.sqrt(np.mean(theta**2)))
     rng = np.random.Generator(np.random.Philox(key=seed))
     for _ in range(n_perturbed):
         members.append(base.set_flat(theta + sigma * rng.standard_normal(theta.size)))

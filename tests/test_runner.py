@@ -62,7 +62,10 @@ def test_config_validation():
                 dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5),
                 # gen-data wrote part of its files, then hit a name too long
                 dict(eps_grid=(0.0, 1e-300), cov_eval_eps=0.0),
-                dict(eps_grid=(0.0, 1e300), cov_eval_eps=0.0)):
+                dict(eps_grid=(0.0, 1e300), cov_eval_eps=0.0),
+                # momentum failed at the first SGD step; a negative sigma
+                # generated mirrored noise without a word
+                dict(momentum=1.5), dict(momentum=-0.1), dict(sigma=-0.75)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     TrainConfig(eps_grid=(0.0, 1e-242), cov_eval_eps=0.0)  # a 255-byte name
@@ -219,8 +222,11 @@ def test_finetune_requires_method():
 @pytest.mark.parametrize("method", ["oe", "energy", "dpn", "dul"])
 def test_finetune_runs_and_changes_parameters(method):
     base = runner.pretrain(TINY)
+    before = base.get_flat()
     tuned = runner.finetune(TINY.with_(method=method), base)
     assert not np.array_equal(base.get_flat(), tuned.get_flat())
+    # finetune starts from the pretrained model itself and leaves it intact
+    assert np.array_equal(base.get_flat(), before)
 
 
 def test_evaluate_report_fields():
@@ -431,10 +437,15 @@ def test_cli_finetune(tmp_path):
                      "finetune", "--method", "oe"]) == 2
 
 
-def test_cli_missing_config_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(tmp_path / "nope.ini"), "pretrain"])
-    assert exc.value.code == 2
+def test_cli_missing_config_exits_2(tmp_path, capsys):
+    # a directory in place of the file ended in a traceback and exit 1
+    for path in (tmp_path / "nope.ini", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "pretrain"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "pretrained.ckpt").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -459,6 +470,8 @@ def test_cli_missing_config_exits_2(tmp_path):
     "[train]\nlr0 = nan\n",
     "[train]\nseed = -1\n",
     "[data]\neps_grid = 0 1e-300\ncov_eval_eps = 0\n",
+    "[train]\nmomentum = 1.5\n",
+    "[data]\nsigma = -0.75\n",
 ])
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
