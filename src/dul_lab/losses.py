@@ -75,7 +75,7 @@ def ce_loss(logits, labels, dirichlet_mode: bool = False,
     f = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=int)
     n, k = f.shape
-    if np.any(y < 0) or np.any(y >= k):
+    if (y < 0).any() or (y >= k).any():
         raise ValueError("label out of range")
     if not dirichlet_mode:
         logp = f - logsumexp(f, keepdims=True)

@@ -52,7 +52,7 @@ class Mlp:
             b = np.asarray(b, dtype=float)
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError("each layer needs an out x in matrix and out bias")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("parameters must be finite")
             if prev_out is not None and w.shape[1] != prev_out:
                 raise ValueError("consecutive layer dimensions must chain")

@@ -72,7 +72,7 @@ def tvd(p: SimplexVector, q: SimplexVector) -> float:
 
 def _tvd_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Total variation distance along the last axis."""
-    return 0.5 * np.sum(np.abs(a - b), axis=-1)
+    return 0.5 * np.abs(a - b).sum(axis=-1)
 
 
 def disparity(samples, f: Mlp, f2: Mlp) -> float:

@@ -70,6 +70,8 @@ def test_dirichlet_params_validation():
         DirichletParams(np.array([1.0, -0.2]))
     with pytest.raises(ValueError):
         DirichletParams(np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="finite alpha0"):  # each finite, the sum overflows
+        DirichletParams(np.array([1e308, 1e308]))
     with pytest.raises(TypeError):  # alpha0 is computed, never passed
         DirichletParams(np.array([1.0, 2.0]), alpha0=5.0)
     d = DirichletParams(np.array([2.0, 3.0]))
@@ -81,6 +83,9 @@ def test_simplex_vector_validation():
         SimplexVector(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         SimplexVector(np.array([-0.1, 1.1]))
+    for bad in ([0.5, np.nan], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            SimplexVector(np.array(bad))
     p = SimplexVector(np.array([0.25, 0.75]))
     assert p.k == 2
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
+from dul_lab import dirichlet as dmath
 from dul_lab import theory
 from dul_lab.data import LabeledDataset, make_id_blobs, make_semantic_ood
-from dul_lab.dirichlet import SimplexVector
+from dul_lab.dirichlet import DirichletParams, SimplexVector
 from dul_lab.nn import Batch, Mlp, mlp_init
 from dul_lab.theory import HypothesisPool
 
@@ -44,6 +45,101 @@ def test_pinsker_and_bretagnolle_huber_fuzz():
         p, q = simplex(rng, k), simplex(rng, k)
         assert theory.pinsker_check(p, q)["holds"]
         assert theory.bretagnolle_huber_check(p, q)["holds"]
+
+
+# float.hex of (tvd, kl_categorical, Bretagnolle-Huber bound) and of
+# (total_uncertainty, expected_data_entropy, mutual_information) per case of
+# _golden_cases, recorded from the plain numpy form of each function
+# (np.sum, np.any); a rewrite for speed must keep every value bit for bit.
+GOLDEN_HEX = (
+    ("0x1.715851482c00cp-2 0x1.ca19a255ca830p-2 0x1.337e5cf06313dp-1",
+     "0x1.62c6861cfcd59p-1 0x1.6024936f2cb2ep-1 0x1.50f956e811580p-8"),
+    ("0x1.88d3a9ebf675bp-2 0x1.65a5dc85fb4b1p-2 0x1.15fd7993f00cbp-1",
+     "0x1.daf7ba8638ffdp-1 0x1.d5aecf1de0e0dp-1 0x1.523ada1607c00p-7"),
+    ("0x1.3357a78dfe376p-2 0x1.4cd904adaddfbp-2 0x1.0db73f3638984p-1",
+     "0x1.197beb0d867bep+0 0x1.14e2cf99f1ca3p+0 0x1.2646dce52c6c0p-6"),
+    ("0x1.57999097a2f4ap-1 0x1.3cd84a0cedf95p+0 0x1.af66bd82a16c2p-1",
+     "0x1.63ba628a8ef49p+0 0x1.5fe4467622bc6p+0 0x1.eb0e0a361c180p-7"),
+    ("0x1.4e8c9f93c6184p-3 0x1.8771632c3c68ep-4 0x1.3524da746918dp-2",
+     "0x1.5942bfe93425bp-1 0x1.545c4c30582e8p-1 0x1.399cee36fdcc0p-7"),
+    ("0x1.0923216e7bbd2p-4 0x1.e38316fbd5644p-7 0x1.efb8eee329308p-4",
+     "0x1.121b664eae49fp+0 0x1.0f70a55b1da62p+0 0x1.556079c851e80p-7"),
+    ("0x1.7bcc43b7623dep-2 0x1.c9637899b8770p-2 0x1.334dda602a561p-1",
+     "0x1.52fa8a5bc04f5p+0 0x1.504301e68a872p+0 0x1.5bc43a9ae4180p-7"),
+    ("0x1.5ef6d25745b1dp-2 0x1.9078f015d2ef6p-2 0x1.234a6f76dc4d4p-1",
+     "0x1.61c6bad8ef5f7p+0 0x1.5eb54adfa8743p+0 0x1.88b7fca375a00p-7"),
+    ("0x1.5d5f375f34ff4p-3 0x1.0eae74ba0b09ap-4 0x1.02f2de3173de9p-2",
+     "0x1.5f6182450240ap-1 0x1.5c45dc9e68d1fp-1 0x1.8dd2d34cb7580p-8"),
+    ("0x1.2197e27c3e951p-3 0x1.0ca0d30d6096fp-3 0x1.6706852268cfap-2",
+     "0x1.25ef942604223p-1 0x1.1cd34cb031572p-1 0x1.2388eeba59620p-6"),
+    ("0x1.cfa3d61aae987p-3 0x1.0bb263f34e034p-3 0x1.6671404326128p-2",
+     "0x1.18b93e2aa13cap+0 0x1.1589150e0aec0p+0 0x1.98148e4b28500p-7"),
+    ("0x1.cba52a8991b1dp-4 0x1.0f9a8f7c9f7cap-3 0x1.68e1542cef9ddp-2",
+     "0x1.910c1d63bb958p+0 0x1.8d430b6f7678cp+0 0x1.e488fa228e600p-7"),
+    ("0x1.ceffb1db2fadcp-2 0x1.34186a56d7d80p-1 0x1.58474ca68a8c8p-1",
+     "0x1.5dd3af81bd774p-1 0x1.5acb28cc70dfap-1 0x1.84435aa64bd00p-8"),
+    ("0x1.0d263658be371p-1 0x1.7a6b581667310p-1 0x1.72145c543a403p-1",
+     "0x1.d9dd670550576p-1 0x1.d3bc9efb8b5bbp-1 0x1.883202713eec0p-7"),
+    ("0x1.60796b9c05c78p-3 0x1.13b0fc3ccc1e3p-4 0x1.05414c2d9a1b8p-2",
+     "0x1.3db523be73b61p+0 0x1.3143e66f15359p+0 0x1.8e27a9ebd0100p-5"),
+    ("0x1.a2aa541a29249p-2 0x1.1b6e1f1a3bbe9p-1 0x1.4dd36e177da83p-1",
+     "0x1.8f48b2c018bb6p+0 0x1.8b6b289b1ffc5p+0 0x1.eec5127c5f880p-7"),
+    ("0x1.e9eaaba3377bdp-3 0x1.db14e3c958d9ep-4 0x1.52dea27f8474bp-2",
+     "0x1.629004bf946e6p-1 0x1.5f79f49cd05ecp-1 0x1.8b08116207d00p-8"),
+    ("0x1.c8234565d07dap-3 0x1.6acbad0203841p-3 0x1.9c967d0d3cde3p-2",
+     "0x1.19133fd65150cp+0 0x1.1687562f5ebc4p+0 0x1.45f4d3794a400p-7"),
+    ("0x1.a905ccfadda27p-2 0x1.46b3d3902f01ep-1 0x1.5fa4c9459e341p-1",
+     "0x1.6192409119610p+0 0x1.5f15317d73528p+0 0x1.3e8789d307400p-7"),
+    ("0x1.97c924a150995p-3 0x1.b17ae7347fba6p-4 0x1.4480288c14a0bp-2",
+     "0x1.5d58317f51db5p+0 0x1.5a639217b75f2p+0 0x1.7a4fb3cd3e180p-7"),
+    ("0x1.8a07317f53ca0p-6 0x1.6780a7d994cd0p-10 0x1.2f43ce2824875p-5",
+     "0x1.54091296aba1fp-1 0x1.5035ed64edef0p-1 0x1.e99298ded9780p-8"),
+    ("0x1.18a84c58f3fb8p-1 0x1.ce84679c91aa6p-1 0x1.8ade505e44a77p-1",
+     "0x1.e92987527f308p-1 0x1.e2b302834d03cp-1 0x1.9da133cc8b300p-7"),
+    ("0x1.30eaf9031158dp-3 0x1.212a0a17718e7p-4 0x1.0b585f9e26a4cp-2",
+     "0x1.3f5d7a078ca54p+0 0x1.3b55279e199c9p+0 0x1.02149a5cc22c0p-6"),
+    ("0x1.85125dd96b986p-2 0x1.cf61fde48b842p-2 0x1.34e484b1b2900p-1",
+     "0x1.8fbc0747ce5acp+0 0x1.8ce88df447b4dp+0 0x1.69bca9c352f80p-7"),
+    ("0x1.be738253bd606p-2 0x1.25362a7308a89p-1 0x1.5211fd5f79279p-1",
+     "0x1.58cb39037a8d8p-1 0x1.5532bbf1529f4p-1 0x1.cc3e8913f7200p-8"),
+    ("0x1.32a2765d790bap-2 0x1.7bfeaf54c9423p-2 0x1.1d13d5ecd08c8p-1",
+     "0x1.17c7793429264p+0 0x1.1454d4c6f01b1p+0 0x1.b952369c85980p-7"),
+    ("0x1.95a696b1c654fp-2 0x1.a1c8796fb94d3p-2 0x1.2859245c41701p-1",
+     "0x1.584f693a01dbfp+0 0x1.556b810b02dbep+0 0x1.71f4177f80080p-7"),
+    ("0x1.e910647911128p-2 0x1.4f3bb04835f89p-1 0x1.62e1f0687fa43p-1",
+     "0x1.6eae6b1faed85p+0 0x1.6ab94b674a2b6p+0 0x1.fa8fdc3256780p-7"),
+    ("0x1.6d453a4f199eep-2 0x1.0e59a63bdb68ep-2 0x1.ed435e0bbcc4dp-2",
+     "0x1.5ae374ab55dfap-1 0x1.57cde8c64746ep-1 0x1.8ac5f2874c600p-8"),
+    ("0x1.7e5e6937b88e1p-2 0x1.003475effd5acp-1 0x1.41431054b4b54p-1",
+     "0x1.0a78407291672p+0 0x1.069b973149e76p+0 0x1.ee54a0a3bfe00p-7"),
+)
+
+
+def _golden_cases():
+    """30 seeded cases, K = 2..5; every third p has a zero entry."""
+    rng = np.random.default_rng(2410_11576)
+    for i in range(30):
+        k = 2 + i % 4
+        w = rng.random(k)
+        if i % 3 == 0:
+            w[i % k] = 0.0
+        q = rng.random(k) + 0.01
+        yield (SimplexVector(w / w.sum()), SimplexVector(q / q.sum()),
+               DirichletParams(0.05 + 50.0 * rng.random(k)))
+
+
+def test_one_distribution_values_are_bit_identical_to_golden():
+    cases = list(_golden_cases())
+    assert len(cases) == len(GOLDEN_HEX)
+    assert sum(bool((p.p == 0).any()) for p, _, _ in cases) == 10
+    for (p, q, d), (want_pq, want_d) in zip(cases, GOLDEN_HEX):
+        got_pq = (theory.tvd(p, q), dmath.kl_categorical(p, q),
+                  theory.bretagnolle_huber_check(p, q)["bound"])
+        got_d = (dmath.total_uncertainty(d), dmath.expected_data_entropy(d),
+                 dmath.mutual_information(d))
+        assert " ".join(v.hex() for v in got_pq) == want_pq
+        assert " ".join(v.hex() for v in got_d) == want_d
+        assert dmath.total_uncertainty(d) == dmath.total_uncertainty_rows(d.alpha[None, :])[0]
 
 
 def test_bretagnolle_huber_tighter_for_large_kl():
