@@ -159,6 +159,8 @@ def load_config(path) -> TrainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+        if parser.defaults():  # configparser would copy them into every section
+            raise ValueError("unknown section [DEFAULT]")
         values = {}
         for section in parser.sections():
             if section not in sections:

@@ -22,20 +22,6 @@ import numpy as np
 from scipy import special as sp
 
 
-def digamma(x: float) -> float:
-    """psi(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError(f"digamma requires finite x > 0, got {x}")
-    return float(sp.digamma(x))
-
-
-def trigamma(x: float) -> float:
-    """psi_1(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0:
-        raise ValueError(f"trigamma requires finite x > 0, got {x}")
-    return float(sp.polygamma(1, x))
-
-
 @dataclass(frozen=True)
 class DirichletParams:
     """Concentration vector alpha (all entries > 0) and its sum alpha0."""

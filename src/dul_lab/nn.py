@@ -34,10 +34,6 @@ class Batch:
                 raise ValueError("labels must be a vector of length n")
             object.__setattr__(self, "labels", y)
 
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
 
 class Mlp:
     """Dense network: affine layers with an activation between them."""

@@ -18,8 +18,7 @@ def test_batch_validation():
         Batch(np.zeros(4))
     with pytest.raises(ValueError):
         Batch(np.zeros((3, 2)), labels=np.zeros(2, dtype=int))
-    b = Batch(np.zeros((3, 2)), labels=np.array([0, 1, 2]))
-    assert b.n == 3
+    Batch(np.zeros((3, 2)), labels=np.array([0, 1, 2]))
 
 
 def test_mlp_validation():

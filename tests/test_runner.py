@@ -185,6 +185,13 @@ def test_config_unknown_key_and_section(tmp_path):
     path.write_text("lr0 = 0.1\n", encoding="utf-8")  # no section header
     with pytest.raises(ValueError, match=r"bad\.ini: "):
         load_config(path)
+    # configparser copies [DEFAULT] keys into every section: alone they were
+    # ignored, and beside [loss] they were blamed on it
+    for text in ("[DEFAULT]\nseed = 5\nlam = 9.0\n",
+                 "[DEFAULT]\nseed = 5\n[loss]\nlam = 9.0\n"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.ini: unknown section \[DEFAULT\]$"):
+            load_config(path)
 
 
 def test_substream_disjoint_and_deterministic():
@@ -321,6 +328,19 @@ def test_verify_lemma2_row_reports_failing_row_count(monkeypatch):
               runner.verify(TINY, fuzz=300, quick=True)}
     lhs, ok = checks["lemma2"]
     assert lhs > 0 and not ok
+
+
+def test_verify_counts_a_nan_case_as_a_violation(tmp_path, monkeypatch):
+    # abs(nan) > tol and nan < -tol are both false, so a NaN passed
+    monkeypatch.setattr(runner.dmath, "expected_data_entropy", lambda d: float("nan"))
+    out = tmp_path / "out"
+    rc = cli.main(["verify", "--quick", "--config", write_tiny_config(tmp_path / "run.ini"),
+                   "--out", str(out)])
+    assert rc == 1
+    rows = {line.split(",")[0]: line.split(",")[3]
+            for line in (out / "verify.csv").read_text(encoding="utf-8").splitlines()[1:]}
+    failed = {name for name, ok in rows.items() if ok == "0"}
+    assert failed == {"uncertainty_decomposition", "mutual_information_nonneg"}
 
 
 def test_train_loop_deterministic():
@@ -472,6 +492,8 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     "[data]\neps_grid = 0 1e-300\ncov_eval_eps = 0\n",
     "[train]\nmomentum = 1.5\n",
     "[data]\nsigma = -0.75\n",
+    "[DEFAULT]\nseed = 5\nlam = 9.0\n",
+    "[DEFAULT]\nseed = 5\n[loss]\nlam = 9.0\n",
 ])
 def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"

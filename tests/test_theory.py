@@ -285,6 +285,32 @@ def test_theorem1_bound_terms_equal_pairwise_reference(scale):
     assert (rep.d_ff, rep.lambda_const) == terms
 
 
+# float.hex of (gerror, lower_bound, d_ff, lambda_const, c_const), then holds,
+# for a pool member and for a sharpened copy of another member outside the
+# pool, recorded from the pairwise-loop form of the pool terms; the
+# disparity-matrix form must keep every field bit for bit.
+GOLDEN_BOUND = (
+    ("0x1.8bc7abab0ebf3p+0 -0x1.ac47c9fec70b5p+0 0x1.c946d9a44b160p-5 "
+     "0x1.8c0fe99ebe248p-2 -0x1.c2ca7de826f38p-2", True),
+    ("0x1.516785fa8dafcp-2 -0x1.eafa275fa0d16p+0 0x1.21c70009996eap-3 "
+     "0x1.8c0fe99ebe248p-2 -0x1.c2ca7de826f38p-2", True),
+)
+
+
+def test_theorem1_bound_is_bit_identical_to_golden():
+    cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
+    cov = LabeledDataset(cov.points, cov.labels, "COV")
+    sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
+    pool = _random_pool(4, seed=30)
+    outside = pool.members[1].set_flat(2.0 * pool.members[1].get_flat())
+    for model, (want, holds) in zip((pool.members[2], outside), GOLDEN_BOUND):
+        rep = theory.theorem1_bound(cov, sem, model, pool)
+        assert rep.d_ff > 0.0
+        got = (rep.gerror, rep.lower_bound, rep.d_ff, rep.lambda_const, rep.c_const)
+        assert " ".join(v.hex() for v in got) == want
+        assert rep.holds is holds
+
+
 def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
     # one forward per member per sample set; the model's own terms reuse
     # its forwards, whether it is a member or is appended
