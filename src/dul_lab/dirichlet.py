@@ -10,13 +10,17 @@ Each formula is written once, as a row kernel (a ``*_rows`` function) over an
 the losses and scores call them on whole batches. The one-distribution
 functions (total_uncertainty, expected_data_entropy, mutual_information and
 kl_categorical) serve the inequality checks in theory and the verify fuzz,
-which call them 10,000 times, so they keep their numpy calls few.
+which call them 10,000 times: each value object caches its np.log and
+sp.digamma values, and the sums are Python ``+=`` loops in index order.
+That is numpy's own order for K < 8, so each value equals the numpy form bit
+for bit there; from K = 8 numpy's pairwise sum reorders the additions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special as sp
@@ -30,15 +34,27 @@ class DirichletParams:
     alpha0: float = field(init=False)
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
+        alpha = np.array(self.alpha, dtype=float)  # a copy: cached values derive from it
         if alpha.ndim != 1 or alpha.size < 2:
             raise ValueError("alpha must be a 1-D vector with K >= 2")
-        if not ((alpha > 0) & (alpha < np.inf)).all():
+        if not all(0.0 < v < math.inf for v in alpha.tolist()):  # also rejects NaN
             raise ValueError("alpha entries must be finite and positive")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha0", float(alpha.sum()))
         if not math.isfinite(self.alpha0):
             raise ValueError("alpha entries must sum to a finite alpha0")
+
+    @cached_property
+    def _entropies(self) -> tuple:
+        """(total uncertainty, expected data entropy), computed once."""
+        mean = self.alpha / self.alpha0
+        log_mean = np.log(np.where(mean > 0, mean, 1.0))  # 0 ln 0 := 0
+        psi = sp.digamma(np.append(self.alpha, self.alpha0) + 1.0).tolist()
+        tu = au = 0.0
+        for m, log_m, psi_k in zip(mean.tolist(), log_mean.tolist(), psi):
+            tu += m * log_m
+            au += m * (psi_k - psi[-1])
+        return -tu, -au
 
 
 @dataclass(frozen=True)
@@ -48,14 +64,22 @@ class SimplexVector:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.array(self.p, dtype=float)  # a copy: cached values derive from it
         if p.ndim != 1 or p.size < 1:
             raise ValueError("p must be a nonempty 1-D vector")
-        if not (p.min() >= 0 and p.max() <= 1):  # also rejects NaN
+        values = p.tolist()
+        if not all(0.0 <= v <= 1.0 for v in values):  # also rejects NaN
             raise ValueError("entries must lie in [0, 1]")
         if abs(p.sum() - 1.0) > 1e-12 * p.size:
             raise ValueError("entries must sum to 1")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_values", values)
+
+    @cached_property
+    def _logs(self) -> list:
+        """ln p_k as floats; -inf where p_k = 0, which no caller reads."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.p).tolist()
 
     @property
     def k(self) -> int:
@@ -160,13 +184,12 @@ def total_uncertainty_rows(alpha: np.ndarray) -> np.ndarray:
 
 def expected_data_entropy(d: DirichletParams) -> float:
     """E_mu[H(Cat(mu))] = -sum_k (alpha_k/alpha0) (psi(alpha_k+1) - psi(alpha0+1))."""
-    a, a0 = d.alpha, d.alpha0
-    return float(-((a / a0) * (sp.digamma(a + 1.0) - sp.digamma(a0 + 1.0))).sum())
+    return d._entropies[1]
 
 
 def total_uncertainty(d: DirichletParams) -> float:
     """Entropy of the expected categorical."""
-    return float(categorical_entropy_rows((d.alpha / d.alpha0)[None, :])[0])
+    return d._entropies[0]
 
 
 def mutual_information(d: DirichletParams) -> float:
@@ -178,8 +201,10 @@ def kl_categorical(p: SimplexVector, q: SimplexVector) -> float:
     """KL(p || q) in nats; requires q > 0 on the support of p."""
     if p.k != q.k:
         raise ValueError("length mismatch")
-    sup = p.p > 0
-    ps, qs = p.p[sup], q.p[sup]
-    if not (qs > 0).all():
-        raise ValueError("q must be positive wherever p is")
-    return float((ps * (np.log(ps) - np.log(qs))).sum())
+    kl = 0.0
+    for p_k, log_p, q_k, log_q in zip(p._values, p._logs, q._values, q._logs):
+        if p_k > 0.0:
+            if not q_k > 0.0:
+                raise ValueError("q must be positive wherever p is")
+            kl += p_k * (log_p - log_q)
+    return kl

@@ -67,7 +67,10 @@ def tvd(p: SimplexVector, q: SimplexVector) -> float:
     """Total variation distance: half the L1 distance on the simplex."""
     if p.k != q.k:
         raise ValueError("length mismatch")
-    return float(_tvd_rows(p.p, q.p))
+    tv = 0.0
+    for p_k, q_k in zip(p._values, q._values):
+        tv += abs(p_k - q_k)
+    return 0.5 * tv
 
 
 def _tvd_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

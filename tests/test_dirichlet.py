@@ -161,6 +161,13 @@ def test_kl_categorical_properties():
     with pytest.raises(ValueError):
         dmath.kl_categorical(SimplexVector(np.array([1.0, 0.0])),
                              SimplexVector(np.array([0.0, 1.0])))
+    # q must be positive wherever p is, and only there
+    p = SimplexVector(np.array([0.5, 0.5, 0.0]))
+    for q in ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="positive wherever"):
+            dmath.kl_categorical(p, SimplexVector(np.array(q)))
+    kl = dmath.kl_categorical(p, SimplexVector(np.array([0.25, 0.75, 0.0])))
+    assert kl == pytest.approx(0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0), abs=1e-15)
 
 
 def test_kl_dirichlet_properties():

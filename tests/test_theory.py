@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special as sp
 from scipy.special import softmax
 
 from dul_lab import dirichlet as dmath
 from dul_lab import theory
 from dul_lab.data import LabeledDataset, make_id_blobs, make_semantic_ood
 from dul_lab.dirichlet import DirichletParams, SimplexVector
+from dul_lab.losses import softmax as lab_softmax
 from dul_lab.nn import Batch, Mlp, mlp_init
 from dul_lab.theory import HypothesisPool
 
@@ -142,6 +145,83 @@ def test_one_distribution_values_are_bit_identical_to_golden():
         assert dmath.total_uncertainty(d) == dmath.total_uncertainty_rows(d.alpha[None, :])[0]
 
 
+# The plain numpy forms of the one-distribution values, kept as references:
+# the functions sum Python floats in index order, which is numpy's order for
+# K < 8, so every value must match these bit for bit.
+def _numpy_values(p, q, alpha) -> list:
+    """float.hex of TV, KL, the Bretagnolle-Huber bound, TU, AU and MI."""
+    tv = float(0.5 * np.abs(p - q).sum())
+    sup = p > 0
+    kl = float((p[sup] * (np.log(p[sup]) - np.log(q[sup]))).sum())
+    bound = float(np.sqrt(1.0 - np.exp(-kl)))
+    a0 = float(alpha.sum())
+    tu = float(dmath.categorical_entropy_rows((alpha / a0)[None, :])[0])
+    au = float(-((alpha / a0) * (sp.digamma(alpha + 1.0) - sp.digamma(a0 + 1.0))).sum())
+    return [v.hex() for v in (tv, kl, bound, tu, au, tu - au)]
+
+
+def _one_distribution_values(p, q, d) -> list:
+    return [v.hex() for v in (
+        theory.tvd(p, q), dmath.kl_categorical(p, q),
+        theory.bretagnolle_huber_check(p, q)["bound"], dmath.total_uncertainty(d),
+        dmath.expected_data_entropy(d), dmath.mutual_information(d))]
+
+
+@st.composite
+def _one_distribution_case(draw):
+    """(p, q, alpha) with K = 2..5; p may hold zeros, q is positive."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    w = draw(arrays(float, k, elements=st.one_of(st.just(0.0),
+                                                 st.floats(min_value=0.01, max_value=1.0))))
+    assume(w.sum() > 0)
+    q = draw(arrays(float, k, elements=st.floats(min_value=0.01, max_value=1.0)))
+    alpha = draw(arrays(float, k, elements=st.floats(min_value=0.05, max_value=50.0)))
+    return w / w.sum(), q / q.sum(), alpha
+
+
+# near p == q the KL sum can round below 0, and then 1 - exp(-kl) < 0 makes the
+# Bretagnolle-Huber bound NaN; both forms must still agree there
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
+@settings(deadline=None, max_examples=200)
+@given(_one_distribution_case())
+def test_one_distribution_values_equal_the_numpy_forms(case):
+    w, qv, alpha = case
+    want = _numpy_values(w, qv, alpha)
+    p, q, d = SimplexVector(w), SimplexVector(qv), DirichletParams(alpha)
+    assert _one_distribution_values(p, q, d) == want
+    assert _one_distribution_values(p, q, d) == want  # second read, from the cache
+    # objects with equal values, built from copies, give the same results
+    twins = SimplexVector(w.copy()), SimplexVector(qv.copy()), DirichletParams(alpha.copy())
+    assert _one_distribution_values(*twins) == want
+
+
+def test_one_distribution_values_equal_the_numpy_forms_on_fuzz_inputs():
+    # math.log and np.log can differ in the last bit on a fraction of a percent
+    # of inputs, too rare for the property test above; the verify fuzz's own
+    # draws, 5,000 cases of them, catch a log taken in the wrong library
+    rng = np.random.default_rng(2410)
+    for _ in range(5000):
+        k = int(rng.integers(2, 6))
+        w, qv = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        alpha = rng.uniform(0.05, 50.0, size=k)
+        got = _one_distribution_values(SimplexVector(w), SimplexVector(qv),
+                                       DirichletParams(alpha))
+        assert got == _numpy_values(w, qv, alpha)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_one_distribution_case())
+def test_inequality_checks_hold_on_the_equality_edge(case):
+    # p == q puts both inequalities at equality: TV = KL = bound = 0
+    w, _, _ = case
+    p, q = SimplexVector(w), SimplexVector(w.copy())
+    assert theory.tvd(p, q) == 0.0
+    assert dmath.kl_categorical(p, q) == 0.0
+    assert theory.pinsker_check(p, q)["holds"]
+    bh = theory.bretagnolle_huber_check(p, q)
+    assert bh["bound"] == 0.0 and bh["holds"]
+
+
 def test_bretagnolle_huber_tighter_for_large_kl():
     # for KL > 2 the BH bound beats Pinsker's
     p = SimplexVector(np.array([0.999, 0.001]))
@@ -156,9 +236,10 @@ def test_lemma2_fuzz_and_uniform_case():
     logits = rng.normal(0.0, 4.0, size=(2000, 5))
     res = theory.lemma2_check(logits)
     assert res["holds"] and res["row_violations"] == 0
-    res = theory.lemma2_check(np.zeros((3, 4)))
+    res = theory.lemma2_check(np.zeros((3, 4)))  # uniform rows: the equality edge
     assert res["lhs"] == pytest.approx(0.0, abs=1e-15)
     assert res["rhs"] == pytest.approx(0.0, abs=1e-15)
+    assert res["holds"] and res["row_violations"] == 0
 
 
 def test_lemma2_row_violations_count_every_failing_row(monkeypatch):
@@ -195,6 +276,23 @@ def test_perturbed_pool_deterministic():
         assert np.array_equal(m1.get_flat(), m2.get_flat())
 
 
+def test_perturbed_pool_noise_is_one_percent_of_the_parameter_rms():
+    # each perturbed member is theta + sigma z with z ~ N(0, I) and sigma 1% of
+    # the parameter RMS, so mean(dev^2) / sigma^2 is chi^2_n / n (mean 1, sd
+    # sqrt(2 / n)) and mean(dev) is N(0, sigma^2 / n). theta - sigma z has the
+    # same distribution, so these bounds cannot tell the two apart.
+    base = mlp_init((2, 64, 64, 3), "tanh", seed=4)
+    theta = base.get_flat()
+    n = theta.size
+    sigma = 0.01 * np.sqrt(np.mean(theta**2))
+    pool = theory.perturbed_pool([base], n_perturbed=8, seed=6)
+    assert pool.size == 9 and pool.members[0] is base
+    for member in pool.members[1:]:
+        dev = member.get_flat() - theta
+        assert abs(np.mean(dev**2) / sigma**2 - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+        assert abs(dev.mean()) <= 5.0 * sigma / np.sqrt(n)
+
+
 def test_disparity_properties():
     rng = np.random.default_rng(65)
     x = rng.standard_normal((50, 2))
@@ -211,6 +309,12 @@ def test_disparity_properties():
     assert d == pytest.approx(oracle, abs=1e-15)
     with pytest.raises(ValueError):
         theory.disparity(np.zeros((0, 2)), f, g)
+    # one sample is accepted, and its disparity is that row's TV
+    one = x[:1]
+    tv = theory.tvd(SimplexVector(lab_softmax(f.forward(Batch(one)))[0]),
+                    SimplexVector(lab_softmax(g.forward(Batch(one)))[0]))
+    assert tv > 0.0
+    assert theory.disparity(one, f, g) == tv
 
 
 def test_theorem1_bound_holds_on_untrained_models():
