@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen-data, pretrain, finetune, eval, sweep, verify,
-repro-dilemma. Artifacts are written under --out (default: the DUL_OUT
-environment variable, else ./out). Exit codes: 0 success, 1 verification
-violation or runtime failure, 2 usage error.
+Subcommands: pretrain, finetune, eval, sweep, verify, repro-dilemma.
+Artifacts are written under --out (default: the DUL_OUT environment
+variable, else ./out). Exit codes: 0 success, 1 verification violation or
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import data as datamod
 from . import runner
 from .config import METHODS, TrainConfig, load_config
 from .fileio import atomic_open
@@ -34,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dul", description="Desk-scale OOD detection/generalization lab",
         parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-data", parents=[common],
-                   help="write the synthetic datasets as CSV")
     sub.add_parser("pretrain", parents=[common],
                    help="train the base classifier on ID data")
     ft = sub.add_parser("finetune", parents=[common],
@@ -107,17 +104,6 @@ def _write_text(path, text: str) -> None:
 
 def _run(args, cfg: TrainConfig) -> int:
     out = _out_dir(args)
-    if args.command == "gen-data":
-        id_train, sem_train = runner.make_datasets(cfg)
-        id_eval, cov, sem_test = runner.make_eval_datasets(cfg)
-        datamod.write_dataset_csv(out / "id_train.csv", id_train)
-        datamod.write_dataset_csv(out / "sem_train.csv", sem_train)
-        datamod.write_dataset_csv(out / "id_eval.csv", id_eval)
-        datamod.write_dataset_csv(out / "sem_test.csv", sem_test)
-        for eps, d in cov.items():
-            datamod.write_dataset_csv(out / datamod.cov_csv_name(eps), d)
-        print(f"wrote datasets to {out}")
-        return 0
     if args.command == "pretrain":
         return _save(runner.pretrain(cfg), out / "pretrained.ckpt")
     if args.command == "finetune":

@@ -12,13 +12,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import check_sem_separation, cov_csv_name
+from .data import check_sem_separation
 from .fileio import atomic_open
 from .losses import LossSpec
 from .nn import ACTIVATIONS
 
 SCHEDULES = ("constant", "cosine")
-NAME_MAX = 255  # the longest file name, in bytes, that common file systems allow
+EPS_MAX = 1e6  # the largest eps_grid value
 METHODS = ("none", "oe", "energy", "dpn", "dul")
 
 # substream purposes for the counter-based RNG (Philox, key = stream_key)
@@ -121,10 +121,10 @@ class TrainConfig:
             raise ValueError("eps_grid must be nonnegative")
         if len(set(self.eps_grid)) != len(self.eps_grid):
             raise ValueError("eps_grid values must be distinct")
-        for eps in self.eps_grid:
-            if len(cov_csv_name(eps).encode()) > NAME_MAX:
-                raise ValueError(f"eps_grid value {eps!r} would name a covariate "
-                                 f"file of over {NAME_MAX} bytes")
+        if max(self.eps_grid) > EPS_MAX:
+            raise ValueError(f"eps_grid values must be at most {EPS_MAX:g}: noise "
+                             "that large carries no class signal, and far larger "
+                             "noise overflows a relu model's Dirichlet terms")
         if self.cov_eval_eps not in self.eps_grid:
             raise ValueError("cov_eval_eps must be one of eps_grid")
         if self.sigma < 0:

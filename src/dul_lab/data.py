@@ -9,12 +9,9 @@ training), so detection cannot succeed by memorizing the training outliers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fileio import atomic_open
 
 TAGS = ("ID", "COV", "SEM_TRAIN", "SEM_TEST")
 
@@ -133,21 +130,3 @@ def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
         points = np.concatenate([blobs, ring])
     return LabeledDataset(points, None, tag)
 
-
-CSV_HEADER = ["x1", "x2", "label", "tag"]
-
-
-def cov_csv_name(eps: float) -> str:
-    """File name of the covariate-shifted set at noise level eps. eps is
-    written as the shortest decimal that round-trips, so distinct eps never
-    share a file."""
-    return f"cov_eps{np.format_float_positional(eps, trim='-')}.csv"
-
-
-def write_dataset_csv(path, d: LabeledDataset) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        labels = d.labels if d.labels is not None else np.full(d.n, -1, dtype=int)
-        for (x1, x2), y in zip(d.points, labels):
-            writer.writerow([repr(float(x1)), repr(float(x2)), int(y), d.tag])

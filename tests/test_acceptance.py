@@ -5,7 +5,6 @@ training-based criteria share one three-seed experiment fixture so the whole
 gate stays inside its runtime budget.
 """
 
-import filecmp
 import time
 
 import numpy as np
@@ -31,18 +30,17 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def experiment():
-    """Pretrain plus all finetuning methods on three seeds, fully evaluated."""
+    """repro-dilemma's table and models on three seeds, each model fully
+    evaluated."""
     t0 = time.monotonic()
     runs = {}
     for seed in SEEDS:
         cfg = TrainConfig(seed=seed)
-        base = runner.pretrain(cfg)
-        models = {"none": base}
-        for method in ("oe", "energy", "dpn", "dul"):
-            models[method] = runner.finetune(cfg.with_(method=method), base)
+        rows, models = runner.dilemma_table(cfg)
         reports = {m: runner.evaluate(cfg, model)
                    for m, model in models.items()}
-        runs[seed] = {"cfg": cfg, "models": models, "reports": reports}
+        runs[seed] = {"cfg": cfg, "rows": rows, "models": models,
+                      "reports": reports}
     return {"runs": runs, "elapsed": time.monotonic() - t0}
 
 
@@ -281,10 +279,11 @@ def test_dul_anchor_invariants(experiment):
     assert abs(tu1 - tu0) <= 0.05
 
 
-def test_criterion_10_determinism(tmp_path):
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert cli.main(["--seed", "1", "--out", str(out1), "repro-dilemma"]) == 0
-    assert cli.main(["--seed", "1", "--out", str(out2), "repro-dilemma"]) == 0
-    same = filecmp.cmp(out1 / "dilemma.csv", out2 / "dilemma.csv",
-                       shallow=False)
-    report(10, same, "two repro-dilemma runs produce byte-identical CSV")
+def test_criterion_10_determinism(experiment, tmp_path):
+    """A CLI run and the fixture's seed-1 table are two independent
+    trainings through two entry points."""
+    assert cli.main(["--seed", "1", "--out", str(tmp_path), "repro-dilemma"]) == 0
+    csv_bytes = runner.dilemma_csv(experiment["runs"][1]["rows"]).encode("utf-8")
+    same = (tmp_path / "dilemma.csv").read_bytes() == csv_bytes
+    report(10, same, "repro-dilemma's CSV is byte-identical to the fixture's "
+                     "seed-1 table")

@@ -1,6 +1,4 @@
-"""Unit tests for the synthetic dataset generators and CSV round trips."""
-
-import csv
+"""Unit tests for the synthetic dataset generators."""
 
 import numpy as np
 import pytest
@@ -92,36 +90,6 @@ def test_semantic_points_far_from_train_support():
     assert tr.points.shape == te.points.shape == (2000, 2)
 
 
-def _parse_csv(path):
-    """The written file, parsed without the lab: header, points, labels, tags."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    points = np.array([[float(r[0]), float(r[1])] for r in rows])
-    return header, points, np.array([int(r[2]) for r in rows]), {r[3] for r in rows}
-
-
-def test_csv_round_trip(tmp_path):
-    d = datamod.make_id_blobs(3, 10, seed=12)
-    path = tmp_path / "id.csv"
-    datamod.write_dataset_csv(path, d)
-    header, points, labels, tags = _parse_csv(path)
-    assert header == datamod.CSV_HEADER
-    assert tags == {"ID"}
-    assert points.tobytes() == d.points.tobytes()
-    assert np.array_equal(labels, d.labels)
-
-
-def test_csv_round_trip_unlabeled(tmp_path):
-    d = datamod.make_semantic_ood("train", 10, seed=13, sigma=0.75)
-    path = tmp_path / "sem.csv"
-    datamod.write_dataset_csv(path, d)
-    header, points, labels, tags = _parse_csv(path)
-    assert header == datamod.CSV_HEADER
-    assert tags == {"SEM_TRAIN"}
-    assert np.array_equal(labels, np.full(10, -1))
-    assert points.tobytes() == d.points.tobytes()
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**31 - 1),
        st.integers(min_value=2, max_value=5))
@@ -129,16 +97,3 @@ def test_generators_deterministic_property(seed, k):
     a = datamod.make_semantic_ood("train", 20, seed=seed, k=k, sigma=0.5)
     b = datamod.make_semantic_ood("train", 20, seed=seed, k=k, sigma=0.5)
     assert np.array_equal(a.points, b.points)
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.floats(min_value=-100.0, max_value=100.0),
-       st.floats(min_value=-100.0, max_value=100.0))
-def test_csv_values_survive_round_trip(tmp_path_factory, x1, x2):
-    tmp = tmp_path_factory.mktemp("csv")
-    d = LabeledDataset(np.array([[x1, x2]]), np.array([0]), "ID")
-    path = tmp / "one.csv"
-    datamod.write_dataset_csv(path, d)
-    _, points, labels, tags = _parse_csv(path)
-    assert points.tobytes() == d.points.tobytes()
-    assert np.array_equal(labels, [0]) and tags == {"ID"}

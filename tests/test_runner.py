@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dul_lab import cli, config, fileio, metrics, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
-from dul_lab.data import cov_csv_name, make_id_blobs, write_dataset_csv
 from dul_lab.metrics import EvalReport
 from dul_lab.nn import Batch, Mlp, load_checkpoint, mlp_init, save_checkpoint
 
@@ -60,15 +59,19 @@ def test_config_validation():
                 dict(seed=-1), dict(seed=2**120),
                 dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0),
                 dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5),
-                # gen-data wrote part of its files, then hit a name too long
-                dict(eps_grid=(0.0, 1e-300), cov_eval_eps=0.0),
+                # unbounded, noise that large fails after training (logits
+                # must be finite) or, in a relu model, reports mean_du = nan
                 dict(eps_grid=(0.0, 1e300), cov_eval_eps=0.0),
+                dict(eps_grid=(0.0, 1.7e308), cov_eval_eps=0.0),
+                dict(eps_grid=(0.0, np.nextafter(config.EPS_MAX, np.inf)),
+                     cov_eval_eps=0.0),
                 # momentum failed at the first SGD step; a negative sigma
                 # generated mirrored noise without a word
                 dict(momentum=1.5), dict(momentum=-0.1), dict(sigma=-0.75)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
-    TrainConfig(eps_grid=(0.0, 1e-242), cov_eval_eps=0.0)  # a 255-byte name
+    # tiny noise computes finite numbers, and the bound itself is allowed
+    TrainConfig(eps_grid=(0.0, 1e-300, config.EPS_MAX), cov_eval_eps=0.0)
 
 
 def test_config_round_trip(tmp_path):
@@ -349,39 +352,6 @@ def test_train_loop_deterministic():
     assert np.array_equal(a.get_flat(), b.get_flat())
 
 
-def test_cli_gen_data(tmp_path):
-    cfgfile = write_tiny_config(tmp_path / "run.ini")
-    rc = cli.main(["--config", cfgfile, "--out", str(tmp_path / "out"),
-                   "gen-data"])
-    assert rc == 0
-    out = tmp_path / "out"
-    for name in ("id_train.csv", "sem_train.csv", "id_eval.csv",
-                 "sem_test.csv"):
-        assert (out / name).exists()
-    assert any(p.name.startswith("cov_eps") for p in out.iterdir())
-
-
-def test_cli_gen_data_writes_one_file_per_eps(tmp_path):
-    # eps values that agree to six digits used to share one file
-    path = tmp_path / "run.ini"
-    save_config(TINY.with_(eps_grid=(0.0, 1.0000001, 1.0000002), cov_eval_eps=0.0), path)
-    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "gen-data"]) == 0
-    assert sorted(p.name for p in (tmp_path / "out").glob("cov_eps*")) == [
-        "cov_eps0.csv", "cov_eps1.0000001.csv", "cov_eps1.0000002.csv"]
-
-
-def test_cli_gen_data_writes_a_255_byte_name(tmp_path):
-    # the temporary file of an atomic write must not lengthen the name
-    path = tmp_path / "run.ini"
-    save_config(TINY.with_(eps_grid=(0.0, 1e-242), cov_eval_eps=0.0), path)
-    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "gen-data"]) == 0
-    name = cov_csv_name(1e-242)
-    assert len(name.encode()) == config.NAME_MAX
-    assert sorted(p.name for p in (tmp_path / "out").glob("cov_eps*")) == sorted([
-        "cov_eps0.csv", name])
-    assert not list((tmp_path / "out").glob(".*.tmp"))
-
-
 def _cut_open(*args, **kwargs):
     """open() whose file takes half of the first write and then fails, as
     on a full disk."""
@@ -399,10 +369,9 @@ def _cut_open(*args, **kwargs):
 
 @pytest.mark.parametrize("write", [
     lambda p: save_checkpoint(mlp_init((2, 4, 3), seed=1), p),
-    lambda p: write_dataset_csv(p, make_id_blobs(3, 2, seed=1)),
     lambda p: save_config(TINY, p),
     lambda p: cli._write_text(p, "check,lhs,rhs,pass\n"),
-], ids=["checkpoint", "dataset", "config", "report"])
+], ids=["checkpoint", "config", "report"])
 def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
     path = tmp_path / "artifact"
     write(path)
@@ -426,6 +395,15 @@ def test_atomic_write_goes_through_a_symlink_and_keeps_the_mode(tmp_path):
     assert target.read_text(encoding="utf-8") == "new\n"
     assert target.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_atomic_write_to_a_255_byte_name(tmp_path):
+    # the temporary file's name must not grow with the target's
+    name = "a" * 251 + ".csv"
+    with fileio.atomic_open(tmp_path / name) as fh:
+        fh.write("x\n")
+    assert (tmp_path / name).read_text(encoding="utf-8") == "x\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_cli_pretrain_eval_sweep(tmp_path):
@@ -489,7 +467,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     "[data]\neps_grid = 0 0.5 0.5\ncov_eval_eps = 0.5\n",
     "[train]\nlr0 = nan\n",
     "[train]\nseed = -1\n",
-    "[data]\neps_grid = 0 1e-300\ncov_eval_eps = 0\n",
+    "[data]\neps_grid = 0 1.7e308\ncov_eval_eps = 0\n",
     "[train]\nmomentum = 1.5\n",
     "[data]\nsigma = -0.75\n",
     "[DEFAULT]\nseed = 5\nlam = 9.0\n",
