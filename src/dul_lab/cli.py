@@ -126,7 +126,7 @@ def _run(args, cfg: TrainConfig) -> int:
         name, csv_text = "sweep.csv", runner.sweep_csv(
             runner.noise_sweep(cfg, _load_model(args.checkpoint, cfg)))
     else:  # repro-dilemma
-        rows, models = runner.dilemma_table(cfg)
+        rows, models, _ = runner.dilemma_table(cfg)
         for method, model in models.items():
             save_checkpoint(model, out / f"dilemma_{method}.ckpt")
         name, csv_text = "dilemma.csv", runner.dilemma_csv(rows)

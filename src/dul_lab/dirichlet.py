@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special as sp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletParams:
     """Concentration vector alpha (all entries > 0) and its sum alpha0."""
 
@@ -57,7 +57,7 @@ class DirichletParams:
         return -tu, -au
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexVector:
     """Probability vector: nonnegative entries summing to one."""
 

@@ -182,11 +182,13 @@ def _train_methods(cfg: TrainConfig, methods) -> dict:
 
 def dilemma_table(cfg: TrainConfig):
     """Pretrain, finetune each method, and report each method's natural
-    detector metrics next to its covariate accuracy."""
+    detector metrics next to its covariate accuracy. Returns the rows, the
+    models and every model's full report, each by method."""
     models = _train_methods(cfg, METHODS[1:])
+    reports = {method: evaluate(cfg, models[method]) for method in METHODS}
     rows = []
     for method in METHODS:
-        report = evaluate(cfg, models[method])
+        report = reports[method]
         fpr95, roc, pr = report.detection[NATURAL_SCORE[method]]
         rows.append({
             "method": method,
@@ -197,7 +199,7 @@ def dilemma_table(cfg: TrainConfig):
             "id_acc": report.id_acc,
             "cov_acc": report.cov_acc,
         })
-    return rows, models
+    return rows, models, reports
 
 
 DILEMMA_COLUMNS = ("method", "score", "fpr95", "auroc", "aupr", "id_acc", "cov_acc")
@@ -207,10 +209,9 @@ def dilemma_csv(rows) -> str:
     return csv_table(DILEMMA_COLUMNS, ([r[c] for c in DILEMMA_COLUMNS] for r in rows))
 
 
-def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
-    """Run the inequality and identity suites. Returns a list of
-    (name, lhs, rhs, passed) tuples; a failed row means an implementation
-    bug, not a modeling artifact."""
+def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
+    """The special-function recurrences and the Pinsker, Bretagnolle-Huber,
+    Lemma 2 and uncertainty-decomposition fuzz; one row per check."""
     rng = substream(cfg.seed, cfgmod.STREAM_POOL)
     checks = []
 
@@ -249,22 +250,34 @@ def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
     checks.append(("lemma2", n_lemma2, 0, n_lemma2 == 0 and lemma2["holds"]))
     checks.append(("uncertainty_decomposition", n_decomp, 0, n_decomp == 0))
     checks.append(("mutual_information_nonneg", n_mi, 0, n_mi == 0))
+    return checks
 
-    # Theorem-1 bound on trained models
+
+def _theorem1_check(cfg: TrainConfig, candidates) -> tuple:
+    """The Theorem-1 bound for each trained candidate at the first and last
+    eps, in one pool of the candidates and perturbed copies of the first;
+    one row counting the violations."""
+    pool = thmod.perturbed_pool(candidates, n_perturbed=8, seed=cfg.seed)
+    _, cov, sem_test = make_eval_datasets(cfg)
+    n_thm = 0
+    for model in candidates:
+        for eps in (cfg.eps_grid[0], cfg.eps_grid[-1]):
+            if not thmod.theorem1_bound(cov[eps], sem_test, model, pool).holds:
+                n_thm += 1
+    return ("theorem1_lower_bound", n_thm, 0, n_thm == 0)
+
+
+def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
+    """Run the inequality and identity suites. Returns a list of
+    (name, lhs, rhs, passed) tuples; a failed row means an implementation
+    bug, not a modeling artifact."""
+    checks = _fuzz_checks(cfg, fuzz)
     run_cfg = cfg.with_(pretrain_epochs=min(cfg.pretrain_epochs, 30),
                         finetune_epochs=min(cfg.finetune_epochs, 5)) \
         if quick else cfg
     candidates = list(_train_methods(
         run_cfg, ("oe", "dul") if quick else METHODS[1:]).values())
-    pool = thmod.perturbed_pool(candidates, n_perturbed=8, seed=cfg.seed)
-    _, cov, sem_test = make_eval_datasets(run_cfg)
-    n_thm = 0
-    for model in candidates:
-        for eps in (run_cfg.eps_grid[0], run_cfg.eps_grid[-1]):
-            rep = thmod.theorem1_bound(cov[eps], sem_test, model, pool)
-            if not rep.holds:
-                n_thm += 1
-    checks.append(("theorem1_lower_bound", n_thm, 0, n_thm == 0))
+    checks.append(_theorem1_check(run_cfg, candidates))
     return checks
 
 

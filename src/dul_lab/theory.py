@@ -8,7 +8,8 @@ a violation (beyond float tolerance) indicates an implementation bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,12 +19,24 @@ from .losses import ce_loss, oe_per_sample, softmax
 from .nn import Batch, Mlp
 
 
+class _SetTerms(NamedTuple):
+    """What one sample set and the pool alone determine."""
+
+    k: int
+    tv_uniform: np.ndarray  # (M,) each member's mean TVD to uniform
+    disparities: np.ndarray  # (M, M) mean TVDs between members
+    ce: list | None  # each member's cross-entropy, when the set is labeled
+    detect: list  # each member's mean sqrt(2 * uniform-CE slack)
+
+
 @dataclass(frozen=True)
 class HypothesisPool:
     """Finite surrogate for a hypothesis space: trained checkpoints plus
     parameter-perturbed variants."""
 
     members: tuple
+    # sample-set content -> _SetTerms; left out of ==, hash and repr
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 1:
@@ -35,6 +48,26 @@ class HypothesisPool:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    def _set_terms(self, d: LabeledDataset) -> _SetTerms:
+        """The members' terms on one sample set, from one forward per member
+        the first time the set's content is seen. The key is the content,
+        so a set written in place is computed afresh."""
+        key = (d.points.shape, d.points.tobytes(),
+               None if d.labels is None else d.labels.tobytes())
+        terms = self._terms.get(key)
+        if terms is None:
+            batch = Batch(d.points)
+            logits = [f.forward(batch) for f in self.members]
+            probs = np.stack([softmax(f) for f in logits])
+            k = probs.shape[-1]
+            terms = self._terms[key] = _SetTerms(
+                k=k,
+                tv_uniform=_tvd_rows(probs, 1.0 / k).mean(axis=-1),
+                disparities=_disparities(probs),
+                ce=None if d.labels is None else [ce_loss(f, d.labels)[0] for f in logits],
+                detect=[float(np.sqrt(2.0 * _uniform_ce_slack(f)).mean()) for f in logits])
+        return terms
 
 
 POOL_REL_SIGMA = 0.01
@@ -128,31 +161,28 @@ def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
     """Generalization-error lower bound from the detection loss, the pool
     disparity discrepancy, and the pool surrogate for the minimal joint
     uniformity constant. The model is added to the pool if absent, which the
-    derivation requires. Each member is forwarded once per sample set, and
-    the model's own terms come from its logits among them."""
+    derivation requires; a fresh pool then holds it, so the caller's pool is
+    left as it was. The pool computes its terms on each sample set once per
+    set content (one forward per member) and keeps them, so further calls on
+    the same sets, for any member, forward nothing; the model's own terms
+    are its entries among them."""
     if cov.labels is None:
         raise ValueError("covariate-shifted data must be labeled")
-    members = pool.members if model in pool.members else pool.members + (model,)
-    HypothesisPool(members)  # an appended model must share the dimensions
-    cov_batch, sem_batch = Batch(cov.points), Batch(sem.points)
-    logits_cov = [f.forward(cov_batch) for f in members]
-    logits_sem = [f.forward(sem_batch) for f in members]
-    own = members.index(model)
+    if model not in pool.members:
+        pool = HypothesisPool(pool.members + (model,))
+    own = pool.members.index(model)
+    p, q = pool._set_terms(cov), pool._set_terms(sem)
 
-    k = logits_cov[own].shape[1]
-    gerror = ce_loss(logits_cov[own], cov.labels)[0]
-
-    probs_cov = np.stack([softmax(f) for f in logits_cov])
-    probs_sem = np.stack([softmax(f) for f in logits_sem])
-    lambda_const = float((_tvd_rows(probs_cov, 1.0 / k).mean(axis=-1)
-                          + _tvd_rows(probs_sem, 1.0 / k).mean(axis=-1)).min())
+    k = p.k
+    gerror = p.ce[own]
+    lambda_const = float((p.tv_uniform + q.tv_uniform).min())
 
     # one-hot ground truth: TV to uniform is 1 - 1/K and entropy is 0
     c_const = 2.0 * (1.0 - 1.0 / k) - 2.0 * lambda_const - 1.0
 
-    detect_term = float(np.sqrt(2.0 * _uniform_ce_slack(logits_sem[own])).mean())
+    detect_term = q.detect[own]
     # max over ordered member pairs of disparity on P minus on Q (Zhang et al. 2019)
-    d_ff = float(max(0.0, (_disparities(probs_cov) - _disparities(probs_sem)).max()))
+    d_ff = float(max(0.0, (p.disparities - q.disparities).max()))
     lower_bound = c_const - detect_term - 2.0 * d_ff
     return BoundReport(
         gerror=gerror,

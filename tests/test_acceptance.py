@@ -36,9 +36,7 @@ def experiment():
     runs = {}
     for seed in SEEDS:
         cfg = TrainConfig(seed=seed)
-        rows, models = runner.dilemma_table(cfg)
-        reports = {m: runner.evaluate(cfg, model)
-                   for m, model in models.items()}
+        rows, models, reports = runner.dilemma_table(cfg)
         runs[seed] = {"cfg": cfg, "rows": rows, "models": models,
                       "reports": reports}
     return {"runs": runs, "elapsed": time.monotonic() - t0}
@@ -191,8 +189,13 @@ def test_criterion_05_metric_oracles():
                   f"{dev:.4f} vs 3 sigma {3 * sigma:.4f}")
 
 
-def test_criterion_06_inequality_suite():
-    checks = runner.verify(TrainConfig(), fuzz=10_000, quick=False)
+def test_criterion_06_inequality_suite(experiment):
+    # verify(TrainConfig(), fuzz=10_000, quick=False), whose candidates are
+    # the models dilemma_table trains: here the fixture's seed-1 models
+    run = experiment["runs"][1]
+    assert run["cfg"] == TrainConfig()
+    checks = runner._fuzz_checks(run["cfg"], 10_000)
+    checks.append(runner._theorem1_check(run["cfg"], list(run["models"].values())))
     failures = [(name, lhs) for name, lhs, _, ok in checks if not ok]
     report(6, not failures, f"{len(checks)} checks, failures: {failures}")
 

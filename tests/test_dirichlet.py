@@ -82,6 +82,15 @@ def test_simplex_vector_validation():
     assert p.k == 2
 
 
+@pytest.mark.parametrize("cls, values", [(SimplexVector, [0.5, 0.5]),
+                                         (DirichletParams, [2.0, 3.0])])
+def test_value_objects_compare_and_hash_by_identity(cls, values):
+    # an ndarray field cannot take part in a generated == or hash
+    a, b = cls(np.array(values)), cls(np.array(values))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_alpha_from_logits_mappings():
     f = np.array([[2.0, -1.0, 0.0]])
     assert np.allclose(dmath.alpha_rows(f, "relu_plus_one"), [[3.0, 1.0, 1.0]])

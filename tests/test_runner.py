@@ -322,6 +322,20 @@ def test_verify_quick_all_pass():
         assert ok, (name, lhs, rhs)
 
 
+def test_dilemma_models_give_verify_its_theorem1_row():
+    # verify(quick=False) trains what dilemma_table trains, so the two parts
+    # of verify on dilemma_table's models are verify's rows; the reports
+    # dilemma_table returns are each model's full evaluation
+    rows, models, reports = runner.dilemma_table(TINY)
+    checks = runner._fuzz_checks(TINY, 300)
+    checks.append(runner._theorem1_check(TINY, list(models.values())))
+    assert runner.verify_csv(checks) == runner.verify_csv(
+        runner.verify(TINY, fuzz=300, quick=False))
+    assert list(reports) == [row["method"] for row in rows] == list(models)
+    for method, model in models.items():
+        assert reports[method].to_csv() == runner.evaluate(TINY, model).to_csv()
+
+
 def test_verify_lemma2_row_reports_failing_row_count(monkeypatch):
     # halving the uniform-CE slack makes the bound fail on near-uniform rows
     real = theory.oe_per_sample

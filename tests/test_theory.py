@@ -432,3 +432,64 @@ def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
     calls.clear()
     theory.theorem1_bound(cov, sem, pool.members[3], pool)
     assert len(calls) == 2 * pool.size
+    # the pool keeps its terms on both sets, so another member needs none
+    calls.clear()
+    theory.theorem1_bound(cov, sem, pool.members[0], pool)
+    assert calls == []
+
+
+def _bits(rep):
+    return tuple(v.hex() for v in (rep.gerror, rep.lower_bound, rep.d_ff,
+                                   rep.lambda_const, rep.c_const)) + (rep.holds,)
+
+
+def _cache_case():
+    cov = make_id_blobs(3, 30, sigma=0.75, seed=80)
+    cov = LabeledDataset(cov.points, cov.labels, "COV")
+    sem = make_semantic_ood("test", 40, seed=81, sigma=0.75)
+    return cov, sem, _random_pool(5, seed=50)
+
+
+def test_theorem1_bound_warm_calls_equal_cold_ones():
+    cov, sem, pool = _cache_case()
+    outside = mlp_init((2, 8, 3), "tanh", seed=82)
+    for _ in range(2):
+        for model in pool.members + (outside,):
+            cold = theory.theorem1_bound(cov, sem, model, _random_pool(5, seed=50))
+            warm = theory.theorem1_bound(cov, sem, model, pool)
+            assert warm == cold and _bits(warm) == _bits(cold)
+
+
+def test_theorem1_bound_recomputes_a_set_written_in_place():
+    cov, sem, pool = _cache_case()
+    model = pool.members[1]
+    before = theory.theorem1_bound(cov, sem, model, pool)
+    cov.points[:5] += 1.5
+    sem.points[:5] -= 1.5
+    after = theory.theorem1_bound(cov, sem, model, pool)
+    fresh = theory.theorem1_bound(cov, sem, model, _random_pool(5, seed=50))
+    assert _bits(after) == _bits(fresh) != _bits(before)
+
+
+def test_theorem1_bound_keys_a_set_by_its_labels_too():
+    cov, sem, pool = _cache_case()
+    relabeled = LabeledDataset(cov.points, (cov.labels + 1) % 3, "COV")
+    model = pool.members[2]
+    theory.theorem1_bound(cov, sem, model, pool)
+    got = theory.theorem1_bound(relabeled, sem, model, pool)
+    fresh = theory.theorem1_bound(relabeled, sem, model, _random_pool(5, seed=50))
+    assert _bits(got) == _bits(fresh)
+
+
+def test_theorem1_bound_with_an_outside_model_leaves_the_pool_as_it_was():
+    cov, sem, pool = _cache_case()
+    theory.theorem1_bound(cov, sem, pool.members[0], pool)
+    kept = dict(pool._terms)
+    assert len(kept) == 2
+    theory.theorem1_bound(cov, sem, mlp_init((2, 8, 3), "tanh", seed=83), pool)
+    assert pool._terms.keys() == kept.keys()
+    assert all(pool._terms[key] is terms for key, terms in kept.items())
+    # the cache takes no part in the pool's identity
+    assert pool == HypothesisPool(pool.members)
+    assert hash(pool) == hash(HypothesisPool(pool.members))
+    assert repr(pool) == repr(HypothesisPool(pool.members))
