@@ -126,10 +126,10 @@ def _run(args, cfg: TrainConfig) -> int:
         name, csv_text = "sweep.csv", runner.sweep_csv(
             runner.noise_sweep(cfg, _load_model(args.checkpoint, cfg)))
     else:  # repro-dilemma
-        rows, models, _ = runner.dilemma_table(cfg)
+        models, reports = runner.dilemma_table(cfg)
         for method, model in models.items():
             save_checkpoint(model, out / f"dilemma_{method}.ckpt")
-        name, csv_text = "dilemma.csv", runner.dilemma_csv(rows)
+        name, csv_text = "dilemma.csv", runner.dilemma_csv(reports)
     _write_text(out / name, csv_text)
     print(csv_text, end="")
     return 0

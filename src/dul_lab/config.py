@@ -28,8 +28,9 @@ STREAM_SEM_TRAIN = 2
 STREAM_SEM_TEST = 3
 STREAM_BATCH = 4
 STREAM_COV = 5
-STREAM_POOL = 6
+STREAM_FUZZ = 6
 STREAM_EVAL_ID = 7
+STREAM_POOL = 8
 
 
 def stream_key(seed: int, purpose: int) -> int:

@@ -1,4 +1,4 @@
-"""2-D synthetic datasets for the three distribution roles.
+"""2-D synthetic point sets: in-distribution, covariate-shifted and outlier.
 
 In-distribution points are Gaussian blobs on a circle. Covariate shift adds
 isotropic noise while keeping labels. Semantic outliers live on an outer
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAGS = ("ID", "COV", "SEM_TRAIN", "SEM_TEST")
-
 ID_RADIUS = 4.0
 SEM_RADIUS = 8.0
 SEM_TEST_RING_RADIUS = 12.0
@@ -22,19 +20,16 @@ SEM_TEST_RING_RADIUS = 12.0
 
 @dataclass(frozen=True)
 class LabeledDataset:
+    """n x 2 points and, for a labeled set, one class label per point."""
+
     points: np.ndarray
     labels: np.ndarray | None
-    tag: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ValueError("points must be an n x 2 matrix with n >= 1")
         object.__setattr__(self, "points", pts)
-        if self.tag not in TAGS:
-            raise ValueError(f"tag must be one of {TAGS}")
-        if self.tag.startswith("SEM") and self.labels is not None:
-            raise ValueError("semantic outlier datasets carry no class labels")
         if self.labels is not None:
             y = np.asarray(self.labels, dtype=int)
             if y.shape != (pts.shape[0],):
@@ -62,16 +57,14 @@ def make_id_blobs(k: int, n_per_class: int, radius: float = ID_RADIUS,
         [c + sigma * rng.standard_normal((n_per_class, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(k), n_per_class)
-    return LabeledDataset(points, labels, "ID")
+    return LabeledDataset(points, labels)
 
 
 def perturb_covariate(d: LabeledDataset, eps: float, seed: int = 0) -> LabeledDataset:
-    """Additive N(0, eps^2) per coordinate; labels preserved, tag becomes COV."""
-    if d.tag != "ID":
-        raise ValueError("covariate shift applies to ID data only")
+    """Additive N(0, eps^2) per coordinate; labels preserved."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     noisy = d.points + eps * rng.standard_normal(d.points.shape)
-    return LabeledDataset(noisy, d.labels, "COV")
+    return LabeledDataset(noisy, d.labels)
 
 
 def sem_train_centers(k: int = 3) -> np.ndarray:
@@ -106,10 +99,8 @@ def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
     """Semantic outlier blobs; train and test supports are region-disjoint."""
     if split == "train":
         centers = sem_train_centers(k)
-        tag = "SEM_TRAIN"
     elif split == "test":
         centers = sem_test_centers(k)
-        tag = "SEM_TEST"
     else:
         raise ValueError("split must be 'train' or 'test'")
     check_sem_separation(k, sigma)
@@ -128,5 +119,5 @@ def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
         ring = SEM_TEST_RING_RADIUS * np.stack([np.cos(arc), np.sin(arc)], axis=1)
         ring = ring + sigma * rng.standard_normal((n - n_blob, 2))
         points = np.concatenate([blobs, ring])
-    return LabeledDataset(points, None, tag)
+    return LabeledDataset(points, None)
 

@@ -6,7 +6,7 @@ means "more likely out-of-distribution".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,22 +115,20 @@ EVAL_CSV_COLUMNS = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Per-scoring-method detection metrics plus shared accuracy and
     uncertainty statistics."""
 
-    detection: dict = field(default_factory=dict)  # method -> (fpr95, auroc, aupr)
-    id_acc: float = 0.0
-    cov_acc: float = 0.0
-    uncertainty: dict = field(default_factory=dict)  # tag -> (mean_du, mean_total)
+    detection: dict  # score method -> (fpr95, auroc, aupr)
+    id_acc: float
+    cov_acc: float
+    uncertainty: tuple  # (mean_du, mean_total) on the ID, COV and SEM_TEST sets
 
     def to_csv(self) -> str:
-        du = [self.uncertainty.get(t, (float("nan"),) * 2) for t in
-              ("ID", "COV", "SEM_TEST")]
         return csv_table(EVAL_CSV_COLUMNS, (
             [method, *self.detection[method], self.id_acc, self.cov_acc,
-             *(d[0] for d in du), *(d[1] for d in du)]
+             *(u[0] for u in self.uncertainty), *(u[1] for u in self.uncertainty)]
             for method in sorted(self.detection)))
 
 

@@ -125,19 +125,18 @@ def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
     cov_eval = cov[cfg.cov_eval_eps]
     id_logits, cov_logits, sem_logits = (model.forward(Batch(d.points))
                                          for d in (id_eval, cov_eval, sem_test))
-    report = EvalReport()
+    detection = {}
     for method in metmod.SCORE_METHODS:
         s = ScoreSet(metmod.score_logits(id_logits, method, cfg.alpha_mapping),
                      metmod.score_logits(sem_logits, method, cfg.alpha_mapping),
                      method)
-        report.detection[method] = (metmod.fpr_at_95tpr(s), metmod.auroc(s),
-                                    metmod.aupr(s))
-    report.id_acc = metmod.accuracy(id_logits, id_eval.labels)
-    report.cov_acc = metmod.accuracy(cov_logits, cov_eval.labels)
-    for tag, logits in (("ID", id_logits), ("COV", cov_logits),
-                        ("SEM_TEST", sem_logits)):
-        report.uncertainty[tag] = metmod.uncertainty_stats(logits, cfg.alpha_mapping)
-    return report
+        detection[method] = (metmod.fpr_at_95tpr(s), metmod.auroc(s), metmod.aupr(s))
+    return EvalReport(
+        detection=detection,
+        id_acc=metmod.accuracy(id_logits, id_eval.labels),
+        cov_acc=metmod.accuracy(cov_logits, cov_eval.labels),
+        uncertainty=tuple(metmod.uncertainty_stats(f, cfg.alpha_mapping)
+                          for f in (id_logits, cov_logits, sem_logits)))
 
 
 def noise_sweep(cfg: TrainConfig, model: Mlp):
@@ -181,38 +180,24 @@ def _train_methods(cfg: TrainConfig, methods) -> dict:
 
 
 def dilemma_table(cfg: TrainConfig):
-    """Pretrain, finetune each method, and report each method's natural
-    detector metrics next to its covariate accuracy. Returns the rows, the
-    models and every model's full report, each by method."""
+    """Pretrain, finetune each method, and evaluate every model. Returns the
+    models and their full reports, each by method."""
     models = _train_methods(cfg, METHODS[1:])
-    reports = {method: evaluate(cfg, models[method]) for method in METHODS}
-    rows = []
-    for method in METHODS:
-        report = reports[method]
-        fpr95, roc, pr = report.detection[NATURAL_SCORE[method]]
-        rows.append({
-            "method": method,
-            "score": NATURAL_SCORE[method],
-            "fpr95": fpr95,
-            "auroc": roc,
-            "aupr": pr,
-            "id_acc": report.id_acc,
-            "cov_acc": report.cov_acc,
-        })
-    return rows, models, reports
+    return models, {method: evaluate(cfg, model) for method, model in models.items()}
 
 
-DILEMMA_COLUMNS = ("method", "score", "fpr95", "auroc", "aupr", "id_acc", "cov_acc")
-
-
-def dilemma_csv(rows) -> str:
-    return csv_table(DILEMMA_COLUMNS, ([r[c] for c in DILEMMA_COLUMNS] for r in rows))
+def dilemma_csv(reports) -> str:
+    """Each method's natural-detector metrics next to its accuracies."""
+    return csv_table(
+        ("method", "score", "fpr95", "auroc", "aupr", "id_acc", "cov_acc"),
+        ([method, NATURAL_SCORE[method], *r.detection[NATURAL_SCORE[method]],
+          r.id_acc, r.cov_acc] for method, r in reports.items()))
 
 
 def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
     """The special-function recurrences and the Pinsker, Bretagnolle-Huber,
     Lemma 2 and uncertainty-decomposition fuzz; one row per check."""
-    rng = substream(cfg.seed, cfgmod.STREAM_POOL)
+    rng = substream(cfg.seed, cfgmod.STREAM_FUZZ)
     checks = []
 
     # digamma/trigamma recurrences, on the scipy calls the kernels make
@@ -257,7 +242,8 @@ def _theorem1_check(cfg: TrainConfig, candidates) -> tuple:
     """The Theorem-1 bound for each trained candidate at the first and last
     eps, in one pool of the candidates and perturbed copies of the first;
     one row counting the violations."""
-    pool = thmod.perturbed_pool(candidates, n_perturbed=8, seed=cfg.seed)
+    pool = thmod.perturbed_pool(candidates, n_perturbed=8,
+                                seed=stream_key(cfg.seed, cfgmod.STREAM_POOL))
     _, cov, sem_test = make_eval_datasets(cfg)
     n_thm = 0
     for model in candidates:

@@ -30,15 +30,13 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def experiment():
-    """repro-dilemma's table and models on three seeds, each model fully
-    evaluated."""
+    """repro-dilemma's models and their full reports on three seeds."""
     t0 = time.monotonic()
     runs = {}
     for seed in SEEDS:
         cfg = TrainConfig(seed=seed)
-        rows, models, reports = runner.dilemma_table(cfg)
-        runs[seed] = {"cfg": cfg, "rows": rows, "models": models,
-                      "reports": reports}
+        models, reports = runner.dilemma_table(cfg)
+        runs[seed] = {"cfg": cfg, "models": models, "reports": reports}
     return {"runs": runs, "elapsed": time.monotonic() - t0}
 
 
@@ -286,7 +284,7 @@ def test_criterion_10_determinism(experiment, tmp_path):
     """A CLI run and the fixture's seed-1 table are two independent
     trainings through two entry points."""
     assert cli.main(["--seed", "1", "--out", str(tmp_path), "repro-dilemma"]) == 0
-    csv_bytes = runner.dilemma_csv(experiment["runs"][1]["rows"]).encode("utf-8")
+    csv_bytes = runner.dilemma_csv(experiment["runs"][1]["reports"]).encode("utf-8")
     same = (tmp_path / "dilemma.csv").read_bytes() == csv_bytes
     report(10, same, "repro-dilemma's CSV is byte-identical to the fixture's "
                      "seed-1 table")

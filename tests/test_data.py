@@ -12,14 +12,10 @@ from dul_lab.data import LabeledDataset
 def test_labeled_dataset_validation():
     pts = np.zeros((4, 2))
     with pytest.raises(ValueError):
-        LabeledDataset(np.zeros((4, 3)), None, "ID")
+        LabeledDataset(np.zeros((4, 3)), None)
     with pytest.raises(ValueError):
-        LabeledDataset(pts, None, "WILD")
-    with pytest.raises(ValueError):
-        LabeledDataset(pts, np.zeros(4, dtype=int), "SEM_TRAIN")
-    with pytest.raises(ValueError):
-        LabeledDataset(pts, np.zeros(3, dtype=int), "ID")
-    d = LabeledDataset(pts, np.zeros(4, dtype=int), "ID")
+        LabeledDataset(pts, np.zeros(3, dtype=int))
+    d = LabeledDataset(pts, np.zeros(4, dtype=int))
     assert d.n == 4
 
 
@@ -27,7 +23,6 @@ def test_make_id_blobs_shapes_and_determinism():
     d = datamod.make_id_blobs(3, 50, sigma=0.5, seed=4)
     assert d.points.shape == (150, 2)
     assert np.array_equal(np.sort(np.unique(d.labels)), [0, 1, 2])
-    assert d.tag == "ID"
     d2 = datamod.make_id_blobs(3, 50, sigma=0.5, seed=4)
     assert np.array_equal(d.points, d2.points)
     with pytest.raises(ValueError):
@@ -45,13 +40,10 @@ def test_id_blobs_cluster_near_centers():
 def test_perturb_covariate():
     d = datamod.make_id_blobs(3, 20, seed=6)
     shifted = datamod.perturb_covariate(d, eps=0.5, seed=7)
-    assert shifted.tag == "COV"
     assert np.array_equal(shifted.labels, d.labels)
     assert not np.array_equal(shifted.points, d.points)
     clean = datamod.perturb_covariate(d, eps=0.0, seed=7)
     assert np.array_equal(clean.points, d.points)
-    with pytest.raises(ValueError):
-        datamod.perturb_covariate(shifted, eps=0.5)
 
 
 def test_semantic_split_regions_disjoint():
@@ -64,7 +56,6 @@ def test_semantic_split_regions_disjoint():
 def test_make_semantic_ood_splits():
     tr = datamod.make_semantic_ood("train", 200, seed=8, sigma=0.75)
     te = datamod.make_semantic_ood("test", 200, seed=9, sigma=0.75)
-    assert tr.tag == "SEM_TRAIN" and te.tag == "SEM_TEST"
     assert tr.labels is None and te.labels is None
     assert tr.n == te.n == 200
     # train points hug the outer circle; the test split also uses a larger ring

@@ -1,5 +1,6 @@
 """Unit tests for scoring and detection metrics, with brute-force oracles."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -105,17 +106,27 @@ def test_uncertainty_stats_ordering():
     assert tu_sharp < tu_flat
 
 
+REPORT_FIELDS = {"detection": {"msp": (0.1, 0.9, 0.8), "energy": (0.2, 0.8, 0.7)},
+                 "id_acc": 0.99, "cov_acc": 0.7,
+                 "uncertainty": ((0.1, 0.2), (0.3, 0.4), (0.5, 0.6))}
+
+
 def test_eval_report_csv_shape():
-    rep = EvalReport()
-    rep.detection = {"msp": (0.1, 0.9, 0.8), "energy": (0.2, 0.8, 0.7)}
-    rep.id_acc = 0.99
-    rep.cov_acc = 0.7
-    rep.uncertainty = {"ID": (0.1, 0.2), "COV": (0.3, 0.4),
-                       "SEM_TEST": (0.5, 0.6)}
-    lines = rep.to_csv().strip().split("\n")
+    lines = EvalReport(**REPORT_FIELDS).to_csv().strip().split("\n")
     assert lines[0] == ",".join(metrics.EVAL_CSV_COLUMNS)
     assert len(lines) == 3
     assert lines[1].startswith("energy,")  # sorted by method name
+
+
+def test_eval_report_is_built_whole_and_frozen():
+    # no field has a default, so no column can print one
+    for name in REPORT_FIELDS:
+        with pytest.raises(TypeError):
+            EvalReport(**{k: v for k, v in REPORT_FIELDS.items() if k != name})
+    rep = EvalReport(**REPORT_FIELDS)
+    for name, value in REPORT_FIELDS.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, value)
 
 
 @settings(deadline=None, max_examples=50)

@@ -247,7 +247,7 @@ def test_evaluate_report_fields():
     for fpr, roc, pr in report.detection.values():
         assert 0.0 <= fpr <= 1.0 and 0.0 <= roc <= 1.0 and 0.0 <= pr <= 1.0
     assert 0.0 <= report.id_acc <= 1.0
-    assert set(report.uncertainty) == {"ID", "COV", "SEM_TEST"}
+    assert len(report.uncertainty) == 3  # the ID, COV and SEM_TEST sets
 
 
 def _count_forwards(monkeypatch) -> list:
@@ -278,8 +278,8 @@ def test_csv_tables_golden():
     with str so that a 1e-16 residual stays readable."""
     rep = EvalReport(detection={"msp": (0.05, 0.9, 0.85)}, id_acc=0.99,
                      cov_acc=2.0 / 3.0,
-                     uncertainty={"ID": (-1.5, 0.25), "COV": (-1.0, 0.5),
-                                  "SEM_TEST": (0.125, 1.0986122886681098)})
+                     uncertainty=((-1.5, 0.25), (-1.0, 0.5),
+                                  (0.125, 1.0986122886681098)))
     assert rep.to_csv() == (
         "method,fpr95,auroc,aupr,id_acc,cov_acc,mean_du_id,mean_du_cov,"
         "mean_du_sem,mean_total_id,mean_total_cov,mean_total_sem\n"
@@ -290,8 +290,9 @@ def test_csv_tables_golden():
     assert runner.sweep_csv(sweep) == (
         "eps,cov_acc,shifted_du,mean_du,mean_total\n"
         "0.625000,0.500000,-0.012346,1.000000,0.000000\n")
-    dilemma = [{"method": "dul", "score": "diffent", "fpr95": 0.1,
-                "auroc": 0.95, "aupr": 0.9, "id_acc": 1.0, "cov_acc": 0.75}]
+    dilemma = {"dul": EvalReport(
+        detection={"msp": (0.5, 0.5, 0.5), "diffent": (0.1, 0.95, 0.9)},
+        id_acc=1.0, cov_acc=0.75, uncertainty=((0.0, 0.0),) * 3)}
     assert runner.dilemma_csv(dilemma) == (
         "method,score,fpr95,auroc,aupr,id_acc,cov_acc\n"
         "dul,diffent,0.100000,0.950000,0.900000,1.000000,0.750000\n")
@@ -326,14 +327,31 @@ def test_dilemma_models_give_verify_its_theorem1_row():
     # verify(quick=False) trains what dilemma_table trains, so the two parts
     # of verify on dilemma_table's models are verify's rows; the reports
     # dilemma_table returns are each model's full evaluation
-    rows, models, reports = runner.dilemma_table(TINY)
+    models, reports = runner.dilemma_table(TINY)
     checks = runner._fuzz_checks(TINY, 300)
     checks.append(runner._theorem1_check(TINY, list(models.values())))
     assert runner.verify_csv(checks) == runner.verify_csv(
         runner.verify(TINY, fuzz=300, quick=False))
-    assert list(reports) == [row["method"] for row in rows] == list(models)
+    assert list(reports) == list(models) == list(config.METHODS)
     for method, model in models.items():
         assert reports[method].to_csv() == runner.evaluate(TINY, model).to_csv()
+
+
+def test_verify_pool_noise_has_its_own_stream(monkeypatch):
+    # a raw seed as the pool's Philox key replays another stream's draws: at
+    # seed 0 it is stream_key(0, STREAM_INIT), the init's weights
+    cfg = TINY.with_(seed=0)
+    init = mlp_init(cfg.arch, cfg.activation,
+                    seed=config.stream_key(cfg.seed, config.STREAM_INIT))
+    pools = []
+    real = theory.perturbed_pool
+    monkeypatch.setattr(theory, "perturbed_pool",
+                        lambda *a, **kw: pools.append(real(*a, **kw)) or pools[-1])
+    assert runner._theorem1_check(cfg, [init])[3]
+    theta = init.get_flat()
+    noise = pools[0].members[1].get_flat() - theta
+    draws = substream(cfg.seed, config.STREAM_INIT).standard_normal(theta.size)
+    assert abs(np.corrcoef(noise, draws)[0, 1]) < 0.5
 
 
 def test_verify_lemma2_row_reports_failing_row_count(monkeypatch):

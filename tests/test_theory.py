@@ -319,7 +319,6 @@ def test_disparity_properties():
 
 def test_theorem1_bound_holds_on_untrained_models():
     cov = make_id_blobs(3, 100, sigma=0.75, seed=70)
-    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 200, seed=71, sigma=0.75)
     model = mlp_init((2, 8, 3), "tanh", seed=72)
     pool = theory.perturbed_pool([model], n_perturbed=4, seed=73)
@@ -328,7 +327,7 @@ def test_theorem1_bound_holds_on_untrained_models():
     assert rep.gerror >= rep.lower_bound - 1e-9
     with pytest.raises(ValueError):
         theory.theorem1_bound(
-            LabeledDataset(cov.points, None, "SEM_TEST"), sem, model, pool)
+            LabeledDataset(cov.points, None), sem, model, pool)
 
 
 def _random_pool(n_members, seed):
@@ -340,13 +339,13 @@ def test_theorem1_bound_d_ff_nonneg_and_zero_on_same_samples():
     rng = np.random.default_rng(67)
     x = rng.standard_normal((30, 2))
     y = rng.standard_normal((30, 2)) + 3.0
-    cov = LabeledDataset(x, rng.integers(0, 3, size=30), "COV")
+    cov = LabeledDataset(x, rng.integers(0, 3, size=30))
     pool = _random_pool(3, seed=0)
     for model in (pool.members[0], mlp_init((2, 8, 3), "tanh", seed=9)):
-        same = theory.theorem1_bound(cov, LabeledDataset(x, None, "SEM_TEST"),
+        same = theory.theorem1_bound(cov, LabeledDataset(x, None),
                                      model, pool)
         assert same.d_ff == 0.0
-        shifted = theory.theorem1_bound(cov, LabeledDataset(y, None, "SEM_TEST"),
+        shifted = theory.theorem1_bound(cov, LabeledDataset(y, None),
                                         model, pool)
         assert shifted.d_ff >= 0.0
 
@@ -374,7 +373,6 @@ def _bound_terms_reference(cov, sem, members):
 @pytest.mark.parametrize("scale", [None, 2.0, 0.2])
 def test_theorem1_bound_terms_equal_pairwise_reference(scale):
     cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
-    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
     pool = _random_pool(4, seed=30)
     pool_terms = _bound_terms_reference(cov, sem, pool.members)
@@ -403,7 +401,6 @@ GOLDEN_BOUND = (
 
 def test_theorem1_bound_is_bit_identical_to_golden():
     cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
-    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
     pool = _random_pool(4, seed=30)
     outside = pool.members[1].set_flat(2.0 * pool.members[1].get_flat())
@@ -419,7 +416,6 @@ def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
     # one forward per member per sample set; the model's own terms reuse
     # its forwards, whether it is a member or is appended
     cov = make_id_blobs(3, 30, sigma=0.75, seed=77)
-    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 40, seed=78, sigma=0.75)
     pool = _random_pool(6, seed=40)
     model = mlp_init((2, 8, 3), "tanh", seed=79)
@@ -445,7 +441,6 @@ def _bits(rep):
 
 def _cache_case():
     cov = make_id_blobs(3, 30, sigma=0.75, seed=80)
-    cov = LabeledDataset(cov.points, cov.labels, "COV")
     sem = make_semantic_ood("test", 40, seed=81, sigma=0.75)
     return cov, sem, _random_pool(5, seed=50)
 
@@ -473,7 +468,7 @@ def test_theorem1_bound_recomputes_a_set_written_in_place():
 
 def test_theorem1_bound_keys_a_set_by_its_labels_too():
     cov, sem, pool = _cache_case()
-    relabeled = LabeledDataset(cov.points, (cov.labels + 1) % 3, "COV")
+    relabeled = LabeledDataset(cov.points, (cov.labels + 1) % 3)
     model = pool.members[2]
     theory.theorem1_bound(cov, sem, model, pool)
     got = theory.theorem1_bound(relabeled, sem, model, pool)
