@@ -70,7 +70,6 @@ class TrainConfig:
     dul_margin: float = _key("loss", 0.4)
     target_alpha0: float = _key("loss", LossSpec.target_alpha0)
     smoothing: float = _key("loss", LossSpec.smoothing)
-    alpha_mapping: str = _key("loss", LossSpec.alpha_mapping)
     k: int = _key("data", 3)
     n_per_class: int = _key("data", 500)
     radius: float = _key("data", 4.0)
@@ -133,7 +132,7 @@ class TrainConfig:
         check_sem_separation(self.k, self.sigma)
         # the loss rules live in LossSpec; every method's spec shares these
         LossSpec(kind="dul", lam=self.lam, gamma=self.gamma, tau=self.tau,
-                 smoothing=self.smoothing, alpha_mapping=self.alpha_mapping)
+                 smoothing=self.smoothing)
         # dilemma_table and the full verify run dpn whatever method says
         if self.target_alpha0 <= self.k:
             raise ValueError("target_alpha0 must exceed k")

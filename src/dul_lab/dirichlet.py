@@ -1,9 +1,10 @@
 """Dirichlet-based uncertainty quantities with closed-form gradients.
 
-All entropies are in nats. A model's logits are mapped to Dirichlet
-concentration parameters, whose differential entropy serves as the
-distributional-uncertainty measure; the Dirichlet mean is the predicted
-class distribution.
+All entropies are in nats. A model's logits f are mapped to Dirichlet
+concentration parameters by the evidential mapping alpha = relu(f) + 1
+(Sensoy et al., 2018), the only mapping the lab uses. Their differential
+entropy serves as the distributional-uncertainty measure; the Dirichlet
+mean is the predicted class distribution.
 
 Each formula is written once, as a row kernel (a ``*_rows`` function) over an
 (n, K) array holding one distribution per row; the kernels are the API, and
@@ -88,37 +89,21 @@ class SimplexVector:
 
 # -- row kernels: one distribution per row of an (n, K) array -------------
 
-ALPHA_MAPPINGS = ("relu_plus_one", "exp_relu")
-
-
-def alpha_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
-    """Map each row of raw logits to Dirichlet concentrations.
-
-    relu_plus_one: alpha_k = max(0, f_k) + 1
-    exp_relu:      alpha_k = exp(max(0, f_k))
-    """
+def alpha_rows(logits) -> np.ndarray:
+    """Map each row of raw logits to Dirichlet concentrations,
+    alpha_k = max(0, f_k) + 1."""
     f = np.asarray(logits, dtype=float)
     if f.ndim != 2 or f.shape[1] < 2:
         raise ValueError("logits must be an (n, K) array with K >= 2")
     if not np.all(np.isfinite(f)):
         raise ValueError("logits must be finite")
-    if mapping == "relu_plus_one":
-        return np.maximum(f, 0.0) + 1.0
-    if mapping == "exp_relu":
-        return np.exp(np.maximum(f, 0.0))
-    raise ValueError(f"alpha mapping must be one of {ALPHA_MAPPINGS}, got {mapping!r}")
+    return np.maximum(f, 0.0) + 1.0
 
 
-def alpha_jacobian_rows(logits, mapping: str = "relu_plus_one") -> np.ndarray:
+def alpha_jacobian_rows(logits) -> np.ndarray:
     """d alpha_k / d f_k per row (the mapping is elementwise, so the
     Jacobian is diagonal); 0 on the relu kink f_k = 0."""
-    f = np.asarray(logits, dtype=float)
-    active = (f > 0).astype(float)
-    if mapping == "relu_plus_one":
-        return active
-    if mapping == "exp_relu":
-        return active * np.exp(np.maximum(f, 0.0))
-    raise ValueError(f"alpha mapping must be one of {ALPHA_MAPPINGS}, got {mapping!r}")
+    return (np.asarray(logits, dtype=float) > 0).astype(float)
 
 
 def diff_entropy_rows(alpha: np.ndarray) -> np.ndarray:

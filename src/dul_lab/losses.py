@@ -29,7 +29,6 @@ class LossSpec:
     tau: int = 1
     target_alpha0: float = 15.0
     smoothing: float = 0.01
-    alpha_mapping: str = "relu_plus_one"
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
@@ -40,8 +39,6 @@ class LossSpec:
             raise ValueError("tau must be 1 or 2")
         if not 0.0 <= self.smoothing < 0.5:
             raise ValueError("smoothing must be in [0, 0.5)")
-        if self.alpha_mapping not in dmath.ALPHA_MAPPINGS:
-            raise ValueError(f"alpha_mapping must be one of {dmath.ALPHA_MAPPINGS}")
 
 
 def logsumexp(f: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -68,8 +65,7 @@ def softmax(f: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def ce_loss(logits, labels, dirichlet_mode: bool = False,
-            alpha_mapping: str = "relu_plus_one"):
+def ce_loss(logits, labels, dirichlet_mode: bool = False):
     """Mean -ln p_y. In dirichlet mode p is the Dirichlet mean of the mapped
     logits instead of the softmax."""
     f = np.asarray(logits, dtype=float)
@@ -84,12 +80,12 @@ def ce_loss(logits, labels, dirichlet_mode: bool = False,
         grad[np.arange(n), y] -= 1.0
         return value, grad / n
     rows = np.arange(n)
-    a = dmath.alpha_rows(f, alpha_mapping)
+    a = dmath.alpha_rows(f)
     a0 = a.sum(axis=1)
     value = float(-np.log(a[rows, y] / a0).mean())
     galpha = np.repeat((1.0 / a0)[:, None], k, axis=1)
     galpha[rows, y] -= 1.0 / a[rows, y]
-    grad = galpha * dmath.alpha_jacobian_rows(f, alpha_mapping)
+    grad = galpha * dmath.alpha_jacobian_rows(f)
     return value, grad / n
 
 
@@ -130,7 +126,7 @@ def energy_margin_loss(id_logits, ood_logits, m_in: float, m_out: float):
 
 
 def dpn_loss(id_logits, id_labels, ood_logits, target_alpha0: float,
-             smoothing: float, alpha_mapping: str = "relu_plus_one"):
+             smoothing: float):
     """Dirichlet prior matching: the ID prediction is pulled toward a sharp
     target Dirichlet at the label, the outlier prediction toward the flat
     Dirichlet."""
@@ -145,21 +141,20 @@ def dpn_loss(id_logits, id_labels, ood_logits, target_alpha0: float,
     target = np.full((n, k), smoothing / k)
     target[np.arange(n), y] += 1.0 - smoothing
     target = target_alpha0 * target
-    pred = dmath.alpha_rows(fi, alpha_mapping)
+    pred = dmath.alpha_rows(fi)
     gi = (dmath.kl_dirichlet_grad_second_rows(target, pred)
-          * dmath.alpha_jacobian_rows(fi, alpha_mapping)) / n
-    pred_o = dmath.alpha_rows(fo, alpha_mapping)
+          * dmath.alpha_jacobian_rows(fi)) / n
+    pred_o = dmath.alpha_rows(fo)
     flat = np.ones_like(pred_o)
     go = (dmath.kl_dirichlet_grad_first_rows(pred_o, flat)
-          * dmath.alpha_jacobian_rows(fo, alpha_mapping)) / m
+          * dmath.alpha_jacobian_rows(fo)) / m
     value = (np.sum(dmath.kl_dirichlet_rows(target, pred)) / n
              + np.sum(dmath.kl_dirichlet_rows(pred_o, flat)) / m)
     return float(value), (gi, go)
 
 
 def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
-             lam: float, gamma: float, m_out: float, tau: int,
-             alpha_mapping: str = "relu_plus_one"):
+             lam: float, gamma: float, m_out: float, tau: int):
     """Dirichlet-mean ID cross-entropy plus a hinge that raises differential
     entropy on outliers above its frozen-model value by a margin, plus a KL
     anchor keeping the predicted class distribution at its frozen value.
@@ -173,12 +168,11 @@ def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
         raise ValueError("current and frozen outlier logits must share a shape")
     if tau not in (1, 2):
         raise ValueError("tau must be 1 or 2")
-    value, gi = ce_loss(id_logits, id_labels, dirichlet_mode=True,
-                        alpha_mapping=alpha_mapping)
+    value, gi = ce_loss(id_logits, id_labels, dirichlet_mode=True)
     m = fo.shape[0]
-    a = dmath.alpha_rows(fo, alpha_mapping)
-    a_frozen = dmath.alpha_rows(f0, alpha_mapping)
-    jac = dmath.alpha_jacobian_rows(fo, alpha_mapping)
+    a = dmath.alpha_rows(fo)
+    a_frozen = dmath.alpha_rows(f0)
+    jac = dmath.alpha_jacobian_rows(fo)
     # detection: hinge on the entropy rise over the frozen model's
     hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + m_out)
                        - dmath.diff_entropy_rows(a))
@@ -230,8 +224,7 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
         go = spec.lam * go
     elif spec.kind == "dpn":
         dpn_val, (gi, go) = dpn_loss(id_logits, id_batch.labels, ood_logits,
-                                     spec.target_alpha0, spec.smoothing,
-                                     spec.alpha_mapping)
+                                     spec.target_alpha0, spec.smoothing)
         value = dpn_val
     else:  # dul, the last kind LossSpec admits
         if frozen is None:
@@ -239,7 +232,7 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
         frozen_logits = frozen.forward(ood_batch)
         value, (gi, go) = dul_loss(id_logits, id_batch.labels, ood_logits,
                                    frozen_logits, spec.lam, spec.gamma,
-                                   spec.m_out, spec.tau, spec.alpha_mapping)
+                                   spec.m_out, spec.tau)
 
     return value, [(gw + ow, gb + ob) for (gw, gb), (ow, ob)
                    in zip(m.backward(id_cache, gi), m.backward(ood_cache, go))]

@@ -32,7 +32,7 @@ class ScoreSet:
             raise ValueError(f"method must be one of {SCORE_METHODS}")
 
 
-def score_logits(logits, method: str, alpha_mapping: str = "relu_plus_one") -> np.ndarray:
+def score_logits(logits, method: str) -> np.ndarray:
     """OOD scores for a batch of logit rows."""
     f = np.atleast_2d(np.asarray(logits, dtype=float))
     if method == "msp":
@@ -42,9 +42,9 @@ def score_logits(logits, method: str, alpha_mapping: str = "relu_plus_one") -> n
     if method == "energy":
         return energy_scores(f)
     if method == "diffent":
-        return dmath.diff_entropy_rows(dmath.alpha_rows(f, alpha_mapping))
+        return dmath.diff_entropy_rows(dmath.alpha_rows(f))
     if method == "strength":
-        return -dmath.alpha_rows(f, alpha_mapping).sum(axis=1)
+        return -dmath.alpha_rows(f).sum(axis=1)
     raise ValueError(f"unknown scoring method: {method}")
 
 
@@ -132,8 +132,8 @@ class EvalReport:
             for method in sorted(self.detection)))
 
 
-def uncertainty_stats(logits, alpha_mapping: str = "relu_plus_one"):
+def uncertainty_stats(logits):
     """(mean differential entropy, mean total uncertainty) over logit rows."""
-    alpha = dmath.alpha_rows(logits, alpha_mapping)
+    alpha = dmath.alpha_rows(logits)
     return (float(dmath.diff_entropy_rows(alpha).mean()),
             float(dmath.total_uncertainty_rows(alpha).mean()))

@@ -196,10 +196,14 @@ def load_checkpoint(path) -> Mlp:
         pos = 3
         for _ in range(n_layers):
             rows, cols = (int(t) for t in lines[pos].split())
+            if min(rows, cols) < 1:
+                raise ValueError("layer dimensions must be >= 1")
             w = np.array([float.fromhex(t) for t in lines[pos + 1].split()]).reshape(rows, cols)
             b = np.array([float.fromhex(t) for t in lines[pos + 2].split()])
             layers.append((w, b))
             pos += 3
+        if any(line.strip() for line in lines[pos:]):
+            raise ValueError("data after the last layer")
         return Mlp(layers, activation)
     except IndexError:
         raise ValueError(f"{path}: checkpoint ends early") from None

@@ -62,7 +62,7 @@ def _loss_spec(cfg: TrainConfig) -> LossSpec:
     m_out = cfg.dul_margin if kind == "dul" else cfg.m_out
     return LossSpec(kind=kind, lam=cfg.lam, gamma=cfg.gamma, m_in=cfg.m_in,
                     m_out=m_out, tau=cfg.tau, target_alpha0=cfg.target_alpha0,
-                    smoothing=cfg.smoothing, alpha_mapping=cfg.alpha_mapping)
+                    smoothing=cfg.smoothing)
 
 
 def _epoch_lr(cfg: TrainConfig, epoch: int, total: int, lr0: float) -> float:
@@ -127,15 +127,14 @@ def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
                                          for d in (id_eval, cov_eval, sem_test))
     detection = {}
     for method in metmod.SCORE_METHODS:
-        s = ScoreSet(metmod.score_logits(id_logits, method, cfg.alpha_mapping),
-                     metmod.score_logits(sem_logits, method, cfg.alpha_mapping),
-                     method)
+        s = ScoreSet(metmod.score_logits(id_logits, method),
+                     metmod.score_logits(sem_logits, method), method)
         detection[method] = (metmod.fpr_at_95tpr(s), metmod.auroc(s), metmod.aupr(s))
     return EvalReport(
         detection=detection,
         id_acc=metmod.accuracy(id_logits, id_eval.labels),
         cov_acc=metmod.accuracy(cov_logits, cov_eval.labels),
-        uncertainty=tuple(metmod.uncertainty_stats(f, cfg.alpha_mapping)
+        uncertainty=tuple(metmod.uncertainty_stats(f)
                           for f in (id_logits, cov_logits, sem_logits)))
 
 
@@ -149,7 +148,7 @@ def noise_sweep(cfg: TrainConfig, model: Mlp):
     for eps in cfg.eps_grid:
         d = cov[eps]
         logits = model.forward(Batch(d.points))
-        du, tu = metmod.uncertainty_stats(logits, cfg.alpha_mapping)
+        du, tu = metmod.uncertainty_stats(logits)
         if base_du is None:
             base_du = du  # first grid entry is eps = 0, i.e. the ID set
         rows.append({

@@ -7,6 +7,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from dul_lab import data, dirichlet, nn
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # tracer constants that hold lab names, dotted below the dul_lab package
 TRACER_NAMES = ("LAYERS", "FORWARDS", "THEORY_CHECKS", "COUNTED_FUNCTIONS",
@@ -88,3 +92,39 @@ def test_every_lab_name_in_the_tracer_resolves():
             names.add(node.slice.value)
     assert {"theory.theorem1_bound", "theory.disparity", "nn.Mlp.forward_cache"} <= names
     assert sorted(n for n in names if not _resolves(f"dul_lab.{n}")) == []
+
+
+# tracer functions that read lab attributes through getattr/hasattr with a
+# fallback, so a renamed attribute changes their numbers instead of failing
+TRACER_READERS = ("_leading_rows", "_rows", "_note_forward")
+
+
+def _attributes_read(func) -> set:
+    """Names a function reads with getattr/hasattr: a string constant, or a
+    loop variable over a constant tuple of names."""
+    loops = {node.target.id: ast.literal_eval(node.iter) for node in ast.walk(func)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)}
+    names = set()
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")):
+            arg = node.args[1]
+            names.update([arg.value] if isinstance(arg, ast.Constant) else loops[arg.id])
+    return names
+
+
+def test_every_attribute_the_tracer_reads_by_name_exists():
+    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in TRACER_READERS:
+            names |= _attributes_read(node)
+    # the lab object each name is read from
+    meant_for = {
+        "inputs": nn.Batch(np.zeros((1, 2))),
+        "points": data.make_id_blobs(k=2, n_per_class=1),
+        "alpha": dirichlet.DirichletParams(np.ones(2)),
+        "p": dirichlet.SimplexVector(np.array([0.5, 0.5])),
+    }
+    assert names == set(meant_for)
+    assert sorted(n for n, obj in meant_for.items() if not hasattr(obj, n)) == []

@@ -93,10 +93,7 @@ def test_value_objects_compare_and_hash_by_identity(cls, values):
 
 def test_alpha_from_logits_mappings():
     f = np.array([[2.0, -1.0, 0.0]])
-    assert np.allclose(dmath.alpha_rows(f, "relu_plus_one"), [[3.0, 1.0, 1.0]])
-    assert np.allclose(dmath.alpha_rows(f, "exp_relu"), [[np.e**2, 1.0, 1.0]])
-    with pytest.raises(ValueError):
-        dmath.alpha_rows(f, "softplus")
+    assert np.allclose(dmath.alpha_rows(f), [[3.0, 1.0, 1.0]])
     with pytest.raises(ValueError):
         dmath.alpha_rows(np.array([[1.0, np.nan, 0.0]]))
 
@@ -249,18 +246,17 @@ LOGITS = st.one_of(st.just(0.0), st.floats(min_value=-30.0, max_value=30.0))
 
 @settings(deadline=None, max_examples=100)
 @given(st.data(), st.integers(min_value=1, max_value=8),
-       st.integers(min_value=2, max_value=6),
-       st.sampled_from(["relu_plus_one", "exp_relu"]))
-def test_row_kernels_batch_rows_equal_each_row_alone(data, n, k, mapping):
+       st.integers(min_value=2, max_value=6))
+def test_row_kernels_batch_rows_equal_each_row_alone(data, n, k):
     f = data.draw(arrays(float, (n, k), elements=LOGITS))
     g = data.draw(arrays(float, (n, k), elements=LOGITS))
 
     def kernels(f, g):
-        a = dmath.alpha_rows(f, mapping)
-        b = dmath.alpha_rows(g, mapping)
+        a = dmath.alpha_rows(f)
+        b = dmath.alpha_rows(g)
         return {
             "alpha": a,
-            "jacobian": dmath.alpha_jacobian_rows(f, mapping),
+            "jacobian": dmath.alpha_jacobian_rows(f),
             "diff_entropy": dmath.diff_entropy_rows(a),
             "diff_entropy_grad": dmath.diff_entropy_grad_rows(a),
             "kl": dmath.kl_dirichlet_rows(a, b),
@@ -283,7 +279,5 @@ def test_row_kernels_reject_bad_input():
         dmath.alpha_rows(np.zeros((2, 1)))
     with pytest.raises(ValueError):
         dmath.alpha_rows(np.array([[0.0, np.inf]]))
-    with pytest.raises(ValueError):
-        dmath.alpha_rows(np.zeros((2, 3)), "softplus")
     with pytest.raises(ValueError):
         dmath.kl_dirichlet_rows(np.ones((2, 3)), np.ones((2, 4)))

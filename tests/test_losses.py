@@ -242,50 +242,50 @@ def test_loss_backward_matches_finite_differences(kind):
 # Per-row references: the Dirichlet row kernels run on one-row slices, one
 # distribution per logit row, accumulated in a Python loop.
 
-def _row_ce(f, y, mapping):
+def _row_ce(f, y):
     n, k = f.shape
     value, grad = 0.0, np.zeros_like(f)
     for i in range(n):
-        alpha = dmath.alpha_rows(f[i:i + 1], mapping)[0]
+        alpha = dmath.alpha_rows(f[i:i + 1])[0]
         alpha0 = float(alpha.sum())
         value += -np.log(alpha[y[i]] / alpha0)
         galpha = np.full(k, 1.0 / alpha0)
         galpha[y[i]] -= 1.0 / alpha[y[i]]
-        grad[i] = galpha * dmath.alpha_jacobian_rows(f[i:i + 1], mapping)[0]
+        grad[i] = galpha * dmath.alpha_jacobian_rows(f[i:i + 1])[0]
     return value / n, grad / n
 
 
-def _row_dpn(fi, y, fo, target_alpha0, smoothing, mapping):
+def _row_dpn(fi, y, fo, target_alpha0, smoothing):
     n, k = fi.shape
     flat = np.ones((1, k))
     id_value, ood_value = 0.0, 0.0
     gi, go = np.zeros_like(fi), np.zeros_like(fo)
     for i in range(n):
-        pred = dmath.alpha_rows(fi[i:i + 1], mapping)
+        pred = dmath.alpha_rows(fi[i:i + 1])
         t = np.full((1, k), smoothing / k)
         t[0, y[i]] += 1.0 - smoothing
         target = target_alpha0 * t
         id_value += dmath.kl_dirichlet_rows(target, pred)[0]
         gi[i] = (dmath.kl_dirichlet_grad_second_rows(target, pred)[0]
-                 * dmath.alpha_jacobian_rows(fi[i:i + 1], mapping)[0])
+                 * dmath.alpha_jacobian_rows(fi[i:i + 1])[0])
     for j in range(fo.shape[0]):
-        pred = dmath.alpha_rows(fo[j:j + 1], mapping)
+        pred = dmath.alpha_rows(fo[j:j + 1])
         ood_value += dmath.kl_dirichlet_rows(pred, flat)[0]
         go[j] = (dmath.kl_dirichlet_grad_first_rows(pred, flat)[0]
-                 * dmath.alpha_jacobian_rows(fo[j:j + 1], mapping)[0])
+                 * dmath.alpha_jacobian_rows(fo[j:j + 1])[0])
     m = fo.shape[0]
     return id_value / n + ood_value / m, (gi / n, go / m)
 
 
-def _row_dul(fi, y, fo, f0, lam, gamma, m_out, tau, mapping):
-    value, gi = _row_ce(fi, y, mapping)
+def _row_dul(fi, y, fo, f0, lam, gamma, m_out, tau):
+    value, gi = _row_ce(fi, y)
     m = fo.shape[0]
     go = np.zeros_like(fo)
     det_value, kl_value = 0.0, 0.0
     for j in range(m):
-        a = dmath.alpha_rows(fo[j:j + 1], mapping)
-        a0 = dmath.alpha_rows(f0[j:j + 1], mapping)
-        jac = dmath.alpha_jacobian_rows(fo[j:j + 1], mapping)[0]
+        a = dmath.alpha_rows(fo[j:j + 1])
+        a0 = dmath.alpha_rows(f0[j:j + 1])
+        jac = dmath.alpha_jacobian_rows(fo[j:j + 1])[0]
         hinge = max(0.0, (dmath.diff_entropy_rows(a0)[0] + m_out)
                     - dmath.diff_entropy_rows(a)[0])
         det_value += hinge**tau
@@ -317,22 +317,21 @@ def _same_value(got, want):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("mapping", ["relu_plus_one", "exp_relu"])
-def test_dirichlet_losses_match_per_row_reference(mapping):
+def test_dirichlet_losses_match_per_row_reference():
     for fi, y, fo, f0 in _random_batches(53):
-        value, grad = losses.ce_loss(fi, y, dirichlet_mode=True, alpha_mapping=mapping)
-        want_value, want_grad = _row_ce(fi, y, mapping)
+        value, grad = losses.ce_loss(fi, y, dirichlet_mode=True)
+        want_value, want_grad = _row_ce(fi, y)
         assert np.array_equal(grad, want_grad)
         _same_value(value, want_value)
 
-        value, (gi, go) = losses.dpn_loss(fi, y, fo, 15.0, 0.01, mapping)
-        want_value, (want_gi, want_go) = _row_dpn(fi, y, fo, 15.0, 0.01, mapping)
+        value, (gi, go) = losses.dpn_loss(fi, y, fo, 15.0, 0.01)
+        want_value, (want_gi, want_go) = _row_dpn(fi, y, fo, 15.0, 0.01)
         assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
         _same_value(value, want_value)
 
         for tau in (1, 2):
             args = (fi, y, fo, f0, 3.0, 30.0, 0.4, tau)
-            value, (gi, go) = losses.dul_loss(*args, alpha_mapping=mapping)
-            want_value, (want_gi, want_go) = _row_dul(*args, mapping)
+            value, (gi, go) = losses.dul_loss(*args)
+            want_value, (want_gi, want_go) = _row_dul(*args)
             assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
             _same_value(value, want_value)

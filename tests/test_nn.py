@@ -148,9 +148,14 @@ def test_checkpoint_truncated_or_garbled_raises_value_error(tmp_path):
     path = tmp_path / "model.ckpt"
     nn.save_checkpoint(m, path)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    # cut after the header, inside the first layer, and with a garbled shape
-    for text in ("".join(lines[:3]), "".join(lines[:5]),
-                 "".join(lines[:3]) + "4\n" + "".join(lines[4:])):
+    head, rest = "".join(lines[:3]), "".join(lines[4:])
+    # cut after the header, inside the first layer, and with a garbled shape;
+    # a dimension numpy's reshape would infer; data after the last layer, a
+    # whole checkpoint appended to itself and a layer count cut from 2 to 1
+    for text in (head, "".join(lines[:5]), head + "4\n" + rest,
+                 head + "-1 2\n" + rest, head + "4 -1\n" + rest,
+                 "".join(lines) + "0x1.0p+0\n", "".join(lines) * 2,
+                 "".join(lines[:2]) + "1\n" + "".join(lines[3:])):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="model.ckpt: "):
             nn.load_checkpoint(path)

@@ -49,7 +49,7 @@ def test_config_validation():
                 dict(batch_ood=0),
                 # values that used to fail only once a run reached them, or
                 # that evaluate snapped or truncated without a word
-                dict(alpha_mapping="bogus"), dict(tau=3), dict(smoothing=0.5),
+                dict(tau=3), dict(smoothing=0.5),
                 dict(smoothing=-0.1), dict(lam=-1.0), dict(k=1, arch=(2, 8, 1)),
                 dict(n_per_class=0), dict(n_sem_train=0), dict(n_sem_test=0),
                 dict(n_eval_id=100), dict(n_eval_id=0), dict(sigma=5.0),
@@ -105,7 +105,6 @@ tau = 1
 dul_margin = 0.4
 target_alpha0 = 15.0
 smoothing = 0.01
-alpha_mapping = relu_plus_one
 
 [data]
 k = 3
@@ -133,7 +132,7 @@ NON_DEFAULT = dict(
     finetune_epochs=4, lr0=0.1, finetune_lr0=0.02, momentum=0.5,
     schedule="constant", batch_id=64, batch_ood=32, method="dul", lam=1.5,
     gamma=10.0, m_in=-10.0, m_out=-3.0, tau=2, dul_margin=0.3,
-    target_alpha0=20.0, smoothing=0.05, alpha_mapping="exp_relu", k=2,
+    target_alpha0=20.0, smoothing=0.05, k=2,
     n_per_class=100, radius=5.0, sigma=0.5, n_sem_train=300, n_sem_test=200,
     n_eval_id=300, eps_grid=(0.0, 1.5, 3.125), cov_eval_eps=2.5,
 )
@@ -485,10 +484,12 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     "[train]\nbatch_id = 0\n",
     "[train]\narch = 2 8 5\n",
     "[train]\nwarmup = 5\n",
+    # a deleted key is unknown whatever its value
+    "[loss]\nalpha_mapping = bogus\n",
+    "[loss]\nalpha_mapping = exp_relu\n",
     "lr0 = 0.1\n",  # configparser's own error spans lines
     # each failed later, as a traceback or a silently wrong number
     "[data]\nsigma = 5.0\n",
-    "[loss]\nalpha_mapping = bogus\n",
     "[train]\nactivation = gelu\n",
     "[loss]\ntau = 3\n",
     "[loss]\nsmoothing = 0.5\n",
