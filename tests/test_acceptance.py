@@ -5,10 +5,15 @@ training-based criteria share one three-seed experiment fixture so the whole
 gate stays inside its runtime budget.
 """
 
+import hashlib
+import json
+import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import special as sp
 from scipy.special import gammaln, softmax
 from scipy.stats import spearmanr
@@ -18,9 +23,10 @@ from dul_lab.config import TrainConfig
 from dul_lab.dirichlet import DirichletParams
 from dul_lab.losses import LossSpec
 from dul_lab.metrics import ScoreSet
-from dul_lab.nn import Batch, mlp_init
+from dul_lab.nn import Batch, mlp_init, save_checkpoint
 
 SEEDS = (1, 2, 3)
+OUTPUT_HASHES = Path(__file__).with_name("output_hashes.json")
 
 
 def report(num, ok, detail):
@@ -38,6 +44,18 @@ def experiment():
         models, reports = runner.dilemma_table(cfg)
         runs[seed] = {"cfg": cfg, "models": models, "reports": reports}
     return {"runs": runs, "elapsed": time.monotonic() - t0}
+
+
+@pytest.fixture(scope="module")
+def seed1_checks(experiment):
+    """The rows of verify(TrainConfig(), fuzz=10_000, quick=False), whose
+    candidates are the models dilemma_table trains: here the fixture's
+    seed-1 models."""
+    run = experiment["runs"][1]
+    assert run["cfg"] == TrainConfig()
+    checks = runner._fuzz_checks(run["cfg"], 10_000)
+    checks.append(runner._theorem1_check(run["cfg"], list(run["models"].values())))
+    return checks
 
 
 def _fpr(report, method):
@@ -187,15 +205,9 @@ def test_criterion_05_metric_oracles():
                   f"{dev:.4f} vs 3 sigma {3 * sigma:.4f}")
 
 
-def test_criterion_06_inequality_suite(experiment):
-    # verify(TrainConfig(), fuzz=10_000, quick=False), whose candidates are
-    # the models dilemma_table trains: here the fixture's seed-1 models
-    run = experiment["runs"][1]
-    assert run["cfg"] == TrainConfig()
-    checks = runner._fuzz_checks(run["cfg"], 10_000)
-    checks.append(runner._theorem1_check(run["cfg"], list(run["models"].values())))
-    failures = [(name, lhs) for name, lhs, _, ok in checks if not ok]
-    report(6, not failures, f"{len(checks)} checks, failures: {failures}")
+def test_criterion_06_inequality_suite(seed1_checks):
+    failures = [(name, lhs) for name, lhs, _, ok in seed1_checks if not ok]
+    report(6, not failures, f"{len(seed1_checks)} checks, failures: {failures}")
 
 
 def _softmax_entropy(model, points):
@@ -288,3 +300,43 @@ def test_criterion_10_determinism(experiment, tmp_path):
     same = (tmp_path / "dilemma.csv").read_bytes() == csv_bytes
     report(10, same, "repro-dilemma's CSV is byte-identical to the fixture's "
                      "seed-1 table")
+
+
+def _outputs(experiment, checks, tmp_path) -> dict:
+    """The bytes of every report and checkpoint the fixture's runs hold, by
+    name: each seed's dilemma table and checkpoints, and seed 1's verify
+    rows, evaluation reports and sweeps."""
+    outputs = {}
+    for seed, run in experiment["runs"].items():
+        outputs[f"seed{seed}/dilemma.csv"] = runner.dilemma_csv(run["reports"]).encode()
+        for method, model in run["models"].items():
+            path = tmp_path / f"seed{seed}_{method}.ckpt"
+            save_checkpoint(model, path)
+            outputs[f"seed{seed}/{method}.ckpt"] = path.read_bytes()
+    run = experiment["runs"][1]
+    outputs["seed1/verify.csv"] = runner.verify_csv(checks).encode()
+    for method, model in run["models"].items():
+        outputs[f"seed1/{method}/eval_report.csv"] = run["reports"][method].to_csv().encode()
+        outputs[f"seed1/{method}/sweep.csv"] = runner.sweep_csv(
+            runner.noise_sweep(run["cfg"], model)).encode()
+    return outputs
+
+
+def test_outputs_match_recorded_hashes(experiment, seed1_checks, tmp_path):
+    """Every output the fixture holds has the SHA-256 recorded in
+    output_hashes.json, under the numpy and scipy versions recorded there.
+    A change that means to move an output re-records the file by running
+    this test with DUL_LAB_RECORD_HASHES=1, and says which hashes moved and
+    why."""
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in _outputs(experiment, seed1_checks, tmp_path).items()}
+    if os.environ.get("DUL_LAB_RECORD_HASHES"):
+        OUTPUT_HASHES.write_text(json.dumps({"versions": versions, "sha256": got},
+                                            indent=2) + "\n", encoding="utf-8")
+    recorded = json.loads(OUTPUT_HASHES.read_text(encoding="utf-8"))
+    assert recorded["versions"] == versions, (
+        f"hashes recorded under {recorded['versions']}, this run has {versions}")
+    moved = sorted(name for name in got.keys() | recorded["sha256"].keys()
+                   if got.get(name) != recorded["sha256"].get(name))
+    assert not moved, f"outputs whose hash moved: {moved}"
