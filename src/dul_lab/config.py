@@ -17,7 +17,6 @@ from .fileio import atomic_open
 from .losses import LossSpec
 from .nn import ACTIVATIONS
 
-SCHEDULES = ("constant", "cosine")
 EPS_MAX = 1e6  # the largest eps_grid value
 METHODS = ("none", "oe", "energy", "dpn", "dul")
 
@@ -58,7 +57,6 @@ class TrainConfig:
     lr0: float = _key("train", 0.05)
     finetune_lr0: float = _key("train", 0.01)
     momentum: float = _key("train", 0.9)
-    schedule: str = _key("train", "cosine")
     batch_id: int = _key("train", 128)
     batch_ood: int = _key("train", 256)
     method: str = _key("train", "none")
@@ -66,7 +64,6 @@ class TrainConfig:
     gamma: float = _key("loss", LossSpec.gamma)
     m_in: float = _key("loss", LossSpec.m_in)
     m_out: float = _key("loss", LossSpec.m_out)
-    tau: int = _key("loss", LossSpec.tau)
     dul_margin: float = _key("loss", 0.4)
     target_alpha0: float = _key("loss", LossSpec.target_alpha0)
     smoothing: float = _key("loss", LossSpec.smoothing)
@@ -106,8 +103,6 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.schedule not in SCHEDULES:
-            raise ValueError(f"schedule must be one of {SCHEDULES}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if min(self.n_per_class, self.n_sem_train, self.n_sem_test) < 1:
@@ -131,7 +126,7 @@ class TrainConfig:
             raise ValueError("sigma must be nonnegative")
         check_sem_separation(self.k, self.sigma)
         # the loss rules live in LossSpec; every method's spec shares these
-        LossSpec(kind="dul", lam=self.lam, gamma=self.gamma, tau=self.tau,
+        LossSpec(kind="dul", lam=self.lam, gamma=self.gamma,
                  smoothing=self.smoothing)
         # dilemma_table and the full verify run dpn whatever method says
         if self.target_alpha0 <= self.k:

@@ -26,7 +26,6 @@ class LossSpec:
     gamma: float = 30.0
     m_in: float = -12.0
     m_out: float = -4.0
-    tau: int = 1
     target_alpha0: float = 15.0
     smoothing: float = 0.01
 
@@ -35,8 +34,6 @@ class LossSpec:
             raise ValueError(f"kind must be one of {LOSS_KINDS}")
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("lam and gamma must be nonnegative")
-        if self.tau not in (1, 2):
-            raise ValueError("tau must be 1 or 2")
         if not 0.0 <= self.smoothing < 0.5:
             raise ValueError("smoothing must be in [0, 0.5)")
 
@@ -154,10 +151,11 @@ def dpn_loss(id_logits, id_labels, ood_logits, target_alpha0: float,
 
 
 def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
-             lam: float, gamma: float, m_out: float, tau: int):
-    """Dirichlet-mean ID cross-entropy plus a hinge that raises differential
-    entropy on outliers above its frozen-model value by a margin, plus a KL
-    anchor keeping the predicted class distribution at its frozen value.
+             lam: float, gamma: float, m_out: float):
+    """Dirichlet-mean ID cross-entropy plus a linear hinge that raises
+    differential entropy on outliers above its frozen-model value by a
+    margin, plus a KL anchor keeping the predicted class distribution at its
+    frozen value.
 
     Gradients flow only through the current model; frozen quantities are
     treated as constants.
@@ -166,8 +164,6 @@ def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
     f0 = np.asarray(frozen_ood_logits, dtype=float)
     if fo.shape != f0.shape:
         raise ValueError("current and frozen outlier logits must share a shape")
-    if tau not in (1, 2):
-        raise ValueError("tau must be 1 or 2")
     value, gi = ce_loss(id_logits, id_labels, dirichlet_mode=True)
     m = fo.shape[0]
     a = dmath.alpha_rows(fo)
@@ -176,7 +172,7 @@ def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
     # detection: hinge on the entropy rise over the frozen model's
     hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + m_out)
                        - dmath.diff_entropy_rows(a))
-    slope = np.where(hinge > 0, -tau * hinge ** (tau - 1), 0.0)
+    slope = np.where(hinge > 0, -1.0, 0.0)
     galpha = slope[:, None] * dmath.diff_entropy_grad_rows(a)
     go = lam * (galpha * jac) / m
     # anchor: KL from the predicted class distribution to the frozen one
@@ -188,7 +184,7 @@ def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
     # d KL(p||p0) / d alpha_j = (ln(p_j/p0_j) - KL) / alpha0
     galpha = (lr - kl[:, None]) / a0[:, None]
     go += gamma * (galpha * jac) / m
-    value += lam * np.sum(hinge**tau) / m + gamma * np.sum(kl) / m
+    value += lam * np.sum(hinge) / m + gamma * np.sum(kl) / m
     return float(value), (gi, go)
 
 
@@ -232,7 +228,7 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
         frozen_logits = frozen.forward(ood_batch)
         value, (gi, go) = dul_loss(id_logits, id_batch.labels, ood_logits,
                                    frozen_logits, spec.lam, spec.gamma,
-                                   spec.m_out, spec.tau)
+                                   spec.m_out)
 
     return value, [(gw + ow, gb + ob) for (gw, gb), (ow, ob)
                    in zip(m.backward(id_cache, gi), m.backward(ood_cache, go))]

@@ -38,7 +38,7 @@ class Batch:
 class Mlp:
     """Dense network: affine layers with an activation between them."""
 
-    def __init__(self, layers, activation: str = "relu"):
+    def __init__(self, layers, activation: str):
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         self.layers = []
@@ -130,7 +130,7 @@ def grads_zeros_like(m: Mlp):
     return [(np.zeros_like(w), np.zeros_like(b)) for w, b in m.layers]
 
 
-def mlp_init(layer_sizes, activation: str = "relu", seed: int = 0) -> Mlp:
+def mlp_init(layer_sizes, activation: str, seed: int = 0) -> Mlp:
     """Deterministic init: weights ~ N(0, 1/fan_in), biases zero."""
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):

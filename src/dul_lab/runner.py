@@ -61,12 +61,8 @@ def _loss_spec(cfg: TrainConfig) -> LossSpec:
     # scales, so the dul margin has its own config knob
     m_out = cfg.dul_margin if kind == "dul" else cfg.m_out
     return LossSpec(kind=kind, lam=cfg.lam, gamma=cfg.gamma, m_in=cfg.m_in,
-                    m_out=m_out, tau=cfg.tau, target_alpha0=cfg.target_alpha0,
+                    m_out=m_out, target_alpha0=cfg.target_alpha0,
                     smoothing=cfg.smoothing)
-
-
-def _epoch_lr(cfg: TrainConfig, epoch: int, total: int, lr0: float) -> float:
-    return lr0 if cfg.schedule == "constant" else cosine_lr(epoch, total, lr0)
 
 
 def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
@@ -77,9 +73,9 @@ def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
     velocity = None
     n = id_data.n
     for epoch in range(epochs):
-        lr = _epoch_lr(cfg, epoch, epochs, lr0)
+        lr = cosine_lr(epoch, epochs, lr0)
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_id):
+        for step, start in enumerate(range(0, n, cfg.batch_id)):
             idx = order[start:start + cfg.batch_id]
             batch = Batch(id_data.points[idx], id_data.labels[idx])
             ood_batch = None
@@ -91,7 +87,7 @@ def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
                                                  frozen=frozen)
             if not np.isfinite(value):
                 raise FloatingPointError(
-                    f"non-finite loss {value} at epoch {epoch}")
+                    f"non-finite {spec.kind} loss {value} at epoch {epoch}, step {step}")
             model, velocity = sgd_step(model, grads, velocity, lr, cfg.momentum)
     return model
 

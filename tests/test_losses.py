@@ -72,8 +72,6 @@ def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(kind="oe", lam=-1.0)
     with pytest.raises(ValueError):
-        LossSpec(kind="dul", tau=3)
-    with pytest.raises(ValueError):
         LossSpec(kind="dpn", smoothing=0.7)
 
 
@@ -168,16 +166,15 @@ def test_dpn_loss_grad():
         losses.dpn_loss(fi, y, fo, target_alpha0=2.0, smoothing=0.01)
 
 
-@pytest.mark.parametrize("tau", [1, 2])
-def test_dul_loss_grad(tau):
-    rng = np.random.default_rng(41 + tau)
+def test_dul_loss_grad():
+    rng = np.random.default_rng(42)
     fi = rng.normal(0.0, 2.0, size=(4, 3))
     fo = rng.normal(0.0, 2.0, size=(5, 3))
     f0 = rng.normal(0.0, 2.0, size=(5, 3))
     for f in (fi, fo, f0):
         f[np.abs(f) < 0.05] = 0.1
     y = rng.integers(0, 3, size=4)
-    args = dict(lam=1.5, gamma=2.0, m_out=0.5, tau=tau)
+    args = dict(lam=1.5, gamma=2.0, m_out=0.5)
     value, (gi, go) = losses.dul_loss(fi, y, fo, f0, **args)
     assert value > 0.0
     fdi = fd_logit_grad(
@@ -192,7 +189,7 @@ def test_dul_loss_shape_mismatch():
     with pytest.raises(ValueError):
         losses.dul_loss(np.zeros((2, 3)), np.zeros(2, dtype=int),
                         np.zeros((2, 3)), np.zeros((3, 3)),
-                        lam=1.0, gamma=1.0, m_out=0.5, tau=1)
+                        lam=1.0, gamma=1.0, m_out=0.5)
 
 
 def test_loss_backward_requires_labels_and_batches():
@@ -216,7 +213,7 @@ def test_loss_backward_matches_finite_differences(kind):
     id_batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 3, size=5))
     ood_batch = None if kind == "ce" else Batch(rng.standard_normal((6, 2)))
     spec = LossSpec(kind=kind, lam=1.2, gamma=1.5, m_in=-3.0, m_out=0.5,
-                    tau=1, target_alpha0=15.0, smoothing=0.01)
+                    target_alpha0=15.0, smoothing=0.01)
     value, grads = losses.loss_backward(
         m, id_batch, spec, ood_batch=ood_batch,
         frozen=frozen if kind == "dul" else None)
@@ -277,7 +274,7 @@ def _row_dpn(fi, y, fo, target_alpha0, smoothing):
     return id_value / n + ood_value / m, (gi / n, go / m)
 
 
-def _row_dul(fi, y, fo, f0, lam, gamma, m_out, tau):
+def _row_dul(fi, y, fo, f0, lam, gamma, m_out):
     value, gi = _row_ce(fi, y)
     m = fo.shape[0]
     go = np.zeros_like(fo)
@@ -288,9 +285,9 @@ def _row_dul(fi, y, fo, f0, lam, gamma, m_out, tau):
         jac = dmath.alpha_jacobian_rows(fo[j:j + 1])[0]
         hinge = max(0.0, (dmath.diff_entropy_rows(a0)[0] + m_out)
                     - dmath.diff_entropy_rows(a)[0])
-        det_value += hinge**tau
+        det_value += hinge
         if hinge > 0:
-            galpha = -tau * hinge ** (tau - 1) * dmath.diff_entropy_grad_rows(a)[0]
+            galpha = -dmath.diff_entropy_grad_rows(a)[0]
             go[j] += lam * (galpha * jac) / m
         p = dmath.SimplexVector(a[0] / a.sum())
         p0 = dmath.SimplexVector(a0[0] / a0.sum())
@@ -329,9 +326,8 @@ def test_dirichlet_losses_match_per_row_reference():
         assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
         _same_value(value, want_value)
 
-        for tau in (1, 2):
-            args = (fi, y, fo, f0, 3.0, 30.0, 0.4, tau)
-            value, (gi, go) = losses.dul_loss(*args)
-            want_value, (want_gi, want_go) = _row_dul(*args)
-            assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
-            _same_value(value, want_value)
+        args = (fi, y, fo, f0, 3.0, 30.0, 0.4)
+        value, (gi, go) = losses.dul_loss(*args)
+        want_value, (want_gi, want_go) = _row_dul(*args)
+        assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
+        _same_value(value, want_value)

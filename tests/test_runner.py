@@ -1,7 +1,9 @@
 """Tests for configuration handling, training plumbing, and the CLI."""
 
+import ast
 import errno
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +35,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr0=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(schedule="linear")
-    with pytest.raises(ValueError):
         TrainConfig(method="mixup")
     with pytest.raises(ValueError):
         TrainConfig(activation="gelu")
@@ -49,7 +49,7 @@ def test_config_validation():
                 dict(batch_ood=0),
                 # values that used to fail only once a run reached them, or
                 # that evaluate snapped or truncated without a word
-                dict(tau=3), dict(smoothing=0.5),
+                dict(smoothing=0.5),
                 dict(smoothing=-0.1), dict(lam=-1.0), dict(k=1, arch=(2, 8, 1)),
                 dict(n_per_class=0), dict(n_sem_train=0), dict(n_sem_test=0),
                 dict(n_eval_id=100), dict(n_eval_id=0), dict(sigma=5.0),
@@ -91,7 +91,6 @@ finetune_epochs = 60
 lr0 = 0.05
 finetune_lr0 = 0.01
 momentum = 0.9
-schedule = cosine
 batch_id = 128
 batch_ood = 256
 method = none
@@ -101,7 +100,6 @@ lam = 3.0
 gamma = 30.0
 m_in = -12.0
 m_out = -4.0
-tau = 1
 dul_margin = 0.4
 target_alpha0 = 15.0
 smoothing = 0.01
@@ -130,8 +128,8 @@ def test_save_config_default_text(tmp_path):
 NON_DEFAULT = dict(
     arch=(2, 16, 8, 3), activation="relu", seed=7, pretrain_epochs=5,
     finetune_epochs=4, lr0=0.1, finetune_lr0=0.02, momentum=0.5,
-    schedule="constant", batch_id=64, batch_ood=32, method="dul", lam=1.5,
-    gamma=10.0, m_in=-10.0, m_out=-3.0, tau=2, dul_margin=0.3,
+    batch_id=64, batch_ood=32, method="dul", lam=1.5,
+    gamma=10.0, m_in=-10.0, m_out=-3.0, dul_margin=0.3,
     target_alpha0=20.0, smoothing=0.05, k=2,
     n_per_class=100, radius=5.0, sigma=0.5, n_sem_train=300, n_sem_test=200,
     n_eval_id=300, eps_grid=(0.0, 1.5, 3.125), cov_eval_eps=2.5,
@@ -149,28 +147,38 @@ def test_each_config_key_round_trips(tmp_path, name):
 
 
 @settings(deadline=None, max_examples=40)
-@example(k=3, hidden=4, activation="tanh", schedule="cosine", n_per_class=4,
+@example(k=3, hidden=4, activation="tanh", n_per_class=4,
          n_sem_train=4, sigma=5.0, batch_id=8, batch_ood=8)
-@example(k=1, hidden=4, activation="relu", schedule="constant", n_per_class=4,
+@example(k=1, hidden=4, activation="relu", n_per_class=4,
          n_sem_train=4, sigma=0.5, batch_id=8, batch_ood=8)
 @given(k=st.integers(2, 5), hidden=st.integers(1, 6),
        activation=st.sampled_from(["relu", "tanh"]),
-       schedule=st.sampled_from(config.SCHEDULES),
        n_per_class=st.integers(0, 8), n_sem_train=st.integers(0, 8),
        sigma=st.floats(0.0, 1.0), batch_id=st.integers(0, 16),
        batch_ood=st.integers(0, 16))
-def test_any_config_that_constructs_pretrains(k, hidden, activation, schedule,
+def test_any_config_that_constructs_pretrains(k, hidden, activation,
                                               n_per_class, n_sem_train, sigma,
                                               batch_id, batch_ood):
     try:
         cfg = TrainConfig(arch=(2, hidden, k), activation=activation,
-                          schedule=schedule, pretrain_epochs=1, k=k,
+                          pretrain_epochs=1, k=k,
                           n_per_class=n_per_class, n_sem_train=n_sem_train,
                           sigma=sigma, batch_id=batch_id, batch_ood=batch_ood)
     except ValueError:
         assume(False)
     model = runner.pretrain(cfg)
     assert model.out_dim == k
+
+
+def test_every_config_key_has_a_reader():
+    """A TrainConfig field that no module outside config.py reads as an
+    attribute is a setting that silently does nothing."""
+    read = set()
+    for path in Path(config.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in fields(TrainConfig) if f.name not in read] == []
 
 
 def test_config_unknown_key_and_section(tmp_path):
@@ -383,6 +391,33 @@ def test_train_loop_deterministic():
     assert np.array_equal(a.get_flat(), b.get_flat())
 
 
+def test_non_finite_loss_names_kind_epoch_and_step(tmp_path, capsys, monkeypatch):
+    cfgfile = write_tiny_config(tmp_path / "run.ini")
+    out = str(tmp_path / "out")
+    assert cli.main(["pretrain", "--config", cfgfile, "--out", out]) == 0
+    capsys.readouterr()
+    base = load_checkpoint(tmp_path / "out" / "pretrained.ckpt")
+    real = runner.lossmod.loss_backward
+    calls = []
+
+    def nan_at_epoch_1_step_2(*args, **kwargs):
+        value, grads = real(*args, **kwargs)
+        calls.append(value)
+        # 120 ID points in batches of 32 make four steps an epoch, so the
+        # seventh call is epoch 1, step 2
+        return (float("nan") if len(calls) == 7 else value), grads
+
+    monkeypatch.setattr(runner.lossmod, "loss_backward", nan_at_epoch_1_step_2)
+    message = "non-finite dul loss nan at epoch 1, step 2"
+    with pytest.raises(FloatingPointError) as exc:
+        runner.finetune(TINY.with_(method="dul"), base)
+    assert str(exc.value) == message
+    calls.clear()
+    assert cli.main(["finetune", "--method", "dul", "--config", cfgfile, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "finetuned_dul.ckpt").exists()
+
+
 def _cut_open(*args, **kwargs):
     """open() whose file takes half of the first write and then fails, as
     on a full disk."""
@@ -399,7 +434,7 @@ def _cut_open(*args, **kwargs):
 
 
 @pytest.mark.parametrize("write", [
-    lambda p: save_checkpoint(mlp_init((2, 4, 3), seed=1), p),
+    lambda p: save_checkpoint(mlp_init((2, 4, 3), "relu", seed=1), p),
     lambda p: save_config(TINY, p),
     lambda p: cli._write_text(p, "check,lhs,rhs,pass\n"),
 ], ids=["checkpoint", "config", "report"])
@@ -487,11 +522,12 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     # a deleted key is unknown whatever its value
     "[loss]\nalpha_mapping = bogus\n",
     "[loss]\nalpha_mapping = exp_relu\n",
+    "[loss]\ntau = 3\n",
+    "[train]\nschedule = constant\n",
     "lr0 = 0.1\n",  # configparser's own error spans lines
     # each failed later, as a traceback or a silently wrong number
     "[data]\nsigma = 5.0\n",
     "[train]\nactivation = gelu\n",
-    "[loss]\ntau = 3\n",
     "[loss]\nsmoothing = 0.5\n",
     "[train]\narch = 2 8 1\n[data]\nk = 1\n",
     "[data]\nn_per_class = 0\n",
@@ -549,7 +585,7 @@ def test_cli_bad_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, con
     if content is None:
         expected = f"error: checkpoint not found: {ckpt}\n"
     elif isinstance(content, tuple):
-        save_checkpoint(mlp_init(content, seed=0), ckpt)
+        save_checkpoint(mlp_init(content, "relu", seed=0), ckpt)
         expected = (f"error: {ckpt}: checkpoint maps {content[0]} inputs to "
                     f"{content[-1]} classes, the config 2 inputs to 3 classes\n")
     else:
