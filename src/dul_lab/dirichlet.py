@@ -11,17 +11,16 @@ Each formula is written once, as a row kernel (a ``*_rows`` function) over an
 the losses and scores call them on whole batches. The one-distribution
 functions (total_uncertainty, expected_data_entropy, mutual_information and
 kl_categorical) serve the inequality checks in theory and the verify fuzz,
-which call them 10,000 times: each value object caches its np.log and
-sp.digamma values, and the sums are Python ``+=`` loops in index order.
-That is numpy's own order for K < 8, so each value equals the numpy form bit
-for bit there; from K = 8 numpy's pairwise sum reorders the additions.
+which call them 10,000 times: each value object computes them once, at
+construction from a read-only copy, with Python ``+=`` sums in index order:
+numpy's own order for K < 8, so each value equals the numpy form bit for
+bit there; from K = 8 numpy's pairwise sum reorders the additions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import special as sp
@@ -35,27 +34,28 @@ class DirichletParams:
     alpha0: float = field(init=False)
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float)  # a copy: cached values derive from it
+        alpha = np.array(self.alpha, dtype=float)  # a copy: the values derive from it
         if alpha.ndim != 1 or alpha.size < 2:
             raise ValueError("alpha must be a 1-D vector with K >= 2")
-        if not all(0.0 < v < math.inf for v in alpha.tolist()):  # also rejects NaN
-            raise ValueError("alpha entries must be finite and positive")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha0", float(alpha.sum()))
-        if not math.isfinite(self.alpha0):
+        alpha.setflags(write=False)
+        values = alpha.tolist()
+        alpha0 = 0.0
+        for v in values:
+            if not 0.0 < v < math.inf:  # also rejects NaN
+                raise ValueError("alpha entries must be finite and positive")
+            alpha0 += v  # not sum(): from Python 3.12 it compensates float sums
+        if not math.isfinite(alpha0):
             raise ValueError("alpha entries must sum to a finite alpha0")
-
-    @cached_property
-    def _entropies(self) -> tuple:
-        """(total uncertainty, expected data entropy), computed once."""
-        mean = self.alpha / self.alpha0
-        log_mean = np.log(np.where(mean > 0, mean, 1.0))  # 0 ln 0 := 0
-        psi = sp.digamma(np.append(self.alpha, self.alpha0) + 1.0).tolist()
+        mean = [v / alpha0 for v in values]
+        log_mean = np.log([m if m > 0.0 else 1.0 for m in mean]).tolist()  # 0 ln 0 := 0
+        psi = sp.digamma([v + 1.0 for v in values] + [alpha0 + 1.0]).tolist()
         tu = au = 0.0
-        for m, log_m, psi_k in zip(mean.tolist(), log_mean.tolist(), psi):
+        for m, log_m, psi_k in zip(mean, log_mean, psi):
             tu += m * log_m
             au += m * (psi_k - psi[-1])
-        return -tu, -au
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha0", alpha0)
+        object.__setattr__(self, "_entropies", (-tu, -au))  # (TU, AU)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,22 +65,22 @@ class SimplexVector:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)  # a copy: cached values derive from it
+        p = np.array(self.p, dtype=float)  # a copy: the values derive from it
         if p.ndim != 1 or p.size < 1:
             raise ValueError("p must be a nonempty 1-D vector")
+        p.setflags(write=False)
         values = p.tolist()
-        if not all(0.0 <= v <= 1.0 for v in values):  # also rejects NaN
-            raise ValueError("entries must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > 1e-12 * p.size:
+        total = 0.0
+        for v in values:
+            if not 0.0 <= v <= 1.0:  # also rejects NaN
+                raise ValueError("entries must lie in [0, 1]")
+            total += v
+        if abs(total - 1.0) > 1e-12 * len(values):
             raise ValueError("entries must sum to 1")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_values", values)
-
-    @cached_property
-    def _logs(self) -> list:
-        """ln p_k as floats; -inf where p_k = 0, which no caller reads."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.p).tolist()
+        logs = np.log([v if v > 0.0 else 1.0 for v in values])  # 0 at p_k = 0: never read
+        object.__setattr__(self, "_logs", logs.tolist())
 
     @property
     def k(self) -> int:

@@ -91,6 +91,36 @@ def test_value_objects_compare_and_hash_by_identity(cls, values):
     assert len({a, b, a}) == 2
 
 
+@pytest.mark.parametrize("cls, values, attr", [(SimplexVector, [0.5, 0.5], "p"),
+                                               (DirichletParams, [1.0, 2.0], "alpha")])
+def test_value_objects_are_read_only(cls, values, attr):
+    # the values are computed from the array at construction, so a write would
+    # leave them stale; the caller's own array stays writable
+    given = np.array(values)
+    obj = cls(given)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(obj, attr)[0] = 0.25
+    given[0] = 0.25
+    assert getattr(obj, attr)[0] == values[0]
+
+
+def test_long_vectors_sum_in_index_order():
+    # from K = 8 numpy's pairwise sum reorders the additions; the objects add
+    # in index order, and the sum-to-1 check keeps its 1e-12 K tolerance
+    rng = np.random.default_rng(8)
+    for k in range(8, 65):
+        assert SimplexVector(rng.dirichlet(np.ones(k))).k == k
+        alpha = rng.uniform(0.05, 50.0, size=k)
+        index_order = 0.0
+        for v in alpha.tolist():
+            index_order += v
+        assert DirichletParams(alpha).alpha0 == index_order
+    w = rng.dirichlet(np.ones(16))
+    w[3] += 1e-9
+    with pytest.raises(ValueError, match="sum to 1"):
+        SimplexVector(w)
+
+
 def test_alpha_from_logits_mappings():
     f = np.array([[2.0, -1.0, 0.0]])
     assert np.allclose(dmath.alpha_rows(f), [[3.0, 1.0, 1.0]])
@@ -154,6 +184,16 @@ def test_categorical_entropy_edge_cases():
     k = 5
     u = np.full((1, k), 1.0 / k)
     assert abs(dmath.categorical_entropy_rows(u)[0] - np.log(k)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [[5e-324, 1e10], [5e-324, 1e10, 3.0],
+                                   [1e-300, 1e300]])
+def test_total_uncertainty_takes_0_ln_0_as_0(alpha):
+    # alpha_k / alpha0 underflows to 0 here, so its term must be 0, not NaN
+    d = DirichletParams(np.array(alpha))
+    want = dmath.total_uncertainty_rows(d.alpha[None, :])[0]
+    assert dmath.total_uncertainty(d).hex() == float(want).hex()
+    assert np.isfinite(dmath.expected_data_entropy(d))
 
 
 def test_kl_categorical_properties():
