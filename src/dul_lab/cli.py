@@ -87,7 +87,10 @@ def _load_model(path, cfg: TrainConfig):
 def _out_dir(args) -> Path:
     out = getattr(args, "out", None) or os.environ.get("DUL_OUT") or "out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, under a file, or not writable
+        raise _UsageError(f"cannot make output directory {out}: {exc.strerror}") from None
     return path
 
 

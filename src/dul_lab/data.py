@@ -1,10 +1,10 @@
-"""2-D synthetic point sets: in-distribution, covariate-shifted and outlier.
+"""2-D synthetic point sets: in-distribution and outlier.
 
-In-distribution points are Gaussian blobs on a circle. Covariate shift adds
-isotropic noise while keeping labels. Semantic outliers live on an outer
-circle; the train and test splits occupy disjoint regions (the test split
-additionally includes a segment of a still-larger ring never seen in
-training), so detection cannot succeed by memorizing the training outliers.
+In-distribution points are Gaussian blobs on a circle. Semantic outliers
+live on an outer circle; the train and test splits occupy disjoint regions
+(the test split additionally includes a segment of a still-larger ring
+never seen in training), so detection cannot succeed by memorizing the
+training outliers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ID_RADIUS = 4.0
 SEM_RADIUS = 8.0
 SEM_TEST_RING_RADIUS = 12.0
 
@@ -46,8 +45,8 @@ def _blob_centers(k: int, radius: float, angle_offset: float = 0.0) -> np.ndarra
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def make_id_blobs(k: int, n_per_class: int, radius: float = ID_RADIUS,
-                  sigma: float = 1.0, seed: int = 0) -> LabeledDataset:
+def make_id_blobs(k: int, n_per_class: int, radius: float, sigma: float,
+                  seed: int) -> LabeledDataset:
     """K isotropic Gaussian blobs centered on a circle."""
     if k < 2:
         raise ValueError("need at least two classes")
@@ -60,21 +59,14 @@ def make_id_blobs(k: int, n_per_class: int, radius: float = ID_RADIUS,
     return LabeledDataset(points, labels)
 
 
-def perturb_covariate(d: LabeledDataset, eps: float, seed: int = 0) -> LabeledDataset:
-    """Additive N(0, eps^2) per coordinate; labels preserved."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    noisy = d.points + eps * rng.standard_normal(d.points.shape)
-    return LabeledDataset(noisy, d.labels)
-
-
-def sem_train_centers(k: int = 3) -> np.ndarray:
+def sem_train_centers(k: int) -> np.ndarray:
     return _blob_centers(k, SEM_RADIUS, angle_offset=np.pi / k)
 
 
 SEM_TEST_RING_HALF_ARC = np.pi / 9.0
 
 
-def sem_test_centers(k: int = 3) -> np.ndarray:
+def sem_test_centers(k: int) -> np.ndarray:
     """Outer blobs at the complementary (midway) angles, plus ring-segment
     centers at a larger radius that the train split never visits."""
     midway = _blob_centers(k, SEM_RADIUS, angle_offset=7.0 * np.pi / (12 * k))
@@ -94,8 +86,8 @@ def check_sem_separation(k: int, sigma: float) -> None:
                          f"{min_dist:.3f} < max(4 sigma, 2)")
 
 
-def make_semantic_ood(split: str, n: int, seed: int = 0, k: int = 3,
-                      sigma: float = 0.75) -> LabeledDataset:
+def make_semantic_ood(split: str, n: int, seed: int, k: int,
+                      sigma: float) -> LabeledDataset:
     """Semantic outlier blobs; train and test supports are region-disjoint."""
     if split == "train":
         centers = sem_train_centers(k)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fileio import atomic_open
 
-ACTIVATIONS = ("relu", "tanh")
+ACTIVATION = "tanh"  # the hidden activation; checkpoint line 2 names it
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,9 @@ class Batch:
 
 
 class Mlp:
-    """Dense network: affine layers with an activation between them."""
+    """Dense network: affine layers with tanh between them."""
 
-    def __init__(self, layers, activation: str):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+    def __init__(self, layers):
         self.layers = []
         prev_out = None
         for w, b in layers:
@@ -56,7 +54,6 @@ class Mlp:
             self.layers.append((w, b))
         if not self.layers:
             raise ValueError("need at least one layer")
-        self.activation = activation
 
     @property
     def in_dim(self) -> int:
@@ -65,12 +62,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layers[-1][0].shape[0]
-
-    def _act(self, z):
-        return np.maximum(z, 0.0) if self.activation == "relu" else np.tanh(z)
-
-    def _act_grad(self, z, a):
-        return (z > 0).astype(float) if self.activation == "relu" else 1.0 - a * a
 
     def forward(self, batch: Batch) -> np.ndarray:
         """Logits for a batch; raises on input-width mismatch."""
@@ -83,26 +74,22 @@ class Mlp:
             raise ValueError(
                 f"input width {x.shape[1]} != first layer width {self.in_dim}"
             )
-        pre = []
-        post = [x]
-        h = x
+        # the cache holds each layer's input, then the logits
+        cache = [x]
         for i, (w, b) in enumerate(self.layers):
-            z = h @ w.T + b
-            pre.append(z)
-            h = self._act(z) if i < len(self.layers) - 1 else z
-            post.append(h)
-        return h, (pre, post)
+            z = cache[-1] @ w.T + b
+            cache.append(np.tanh(z) if i < len(self.layers) - 1 else z)
+        return cache[-1], cache
 
     def backward(self, cache, dlogits: np.ndarray):
         """Parameter gradients given d loss / d logits. Returns a ParamGrads list."""
-        pre, post = cache
         grads = [None] * len(self.layers)
         delta = np.asarray(dlogits, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
-            grads[i] = (delta.T @ post[i], delta.sum(axis=0))
-            if i > 0:
-                delta = delta @ self.layers[i][0]
-                delta = delta * self._act_grad(pre[i - 1], post[i])
+            a = cache[i]  # layer i's input
+            grads[i] = (delta.T @ a, delta.sum(axis=0))
+            if i > 0:  # a = tanh(z), and tanh'(z) = 1 - a^2
+                delta = (delta @ self.layers[i][0]) * (1.0 - a * a)
         return grads
 
     # parameter-vector helpers, used by gradient checks and pool perturbation
@@ -119,7 +106,7 @@ class Mlp:
             i += nw + nb
         if i != theta.size:
             raise ValueError("parameter vector has wrong length")
-        return Mlp(layers, self.activation)
+        return Mlp(layers)
 
 
 def grads_flat(grads) -> np.ndarray:
@@ -130,8 +117,13 @@ def grads_zeros_like(m: Mlp):
     return [(np.zeros_like(w), np.zeros_like(b)) for w, b in m.layers]
 
 
-def mlp_init(layer_sizes, activation: str, seed: int = 0) -> Mlp:
-    """Deterministic init: weights ~ N(0, 1/fan_in), biases zero."""
+def mlp_init(layer_sizes, activation: str = ACTIVATION, seed: int = 0) -> Mlp:
+    """Deterministic init: weights ~ N(0, 1/fan_in), biases zero.
+
+    `activation` can only be ACTIVATION; it stays a parameter because the
+    benchmark under perfbench/ passes it."""
+    if activation != ACTIVATION:
+        raise ValueError(f"activation must be {ACTIVATION!r}")
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("need at least input and output sizes, all >= 1")
@@ -140,7 +132,7 @@ def mlp_init(layer_sizes, activation: str, seed: int = 0) -> Mlp:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         w = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
         layers.append((w, np.zeros(fan_out)))
-    return Mlp(layers, activation)
+    return Mlp(layers)
 
 
 def sgd_step(m: Mlp, grads, velocity, lr: float, momentum: float):
@@ -158,7 +150,7 @@ def sgd_step(m: Mlp, grads, velocity, lr: float, momentum: float):
         vb = momentum * vb + gb
         new_v.append((vw, vb))
         new_layers.append((w - lr * vw, b - lr * vb))
-    return Mlp(new_layers, m.activation), new_v
+    return Mlp(new_layers), new_v
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
@@ -173,7 +165,7 @@ CHECKPOINT_MAGIC = "dul-mlp-v1"
 
 
 def save_checkpoint(m: Mlp, path) -> None:
-    lines = [CHECKPOINT_MAGIC, m.activation, str(len(m.layers))]
+    lines = [CHECKPOINT_MAGIC, ACTIVATION, str(len(m.layers))]
     for w, b in m.layers:
         lines.append(f"{w.shape[0]} {w.shape[1]}")
         lines.append(" ".join(v.hex() for v in w.ravel()))
@@ -190,7 +182,8 @@ def load_checkpoint(path) -> Mlp:
             lines = fh.read().splitlines()
         if not lines or lines[0] != CHECKPOINT_MAGIC:
             raise ValueError("not a recognized checkpoint file")
-        activation = lines[1]
+        if lines[1] != ACTIVATION:
+            raise ValueError(f"hidden activation {lines[1]!r} is not {ACTIVATION!r}")
         n_layers = int(lines[2])
         layers = []
         pos = 3
@@ -204,7 +197,7 @@ def load_checkpoint(path) -> Mlp:
             pos += 3
         if any(line.strip() for line in lines[pos:]):
             raise ValueError("data after the last layer")
-        return Mlp(layers, activation)
+        return Mlp(layers)
     except IndexError:
         raise ValueError(f"{path}: checkpoint ends early") from None
     except ValueError as exc:

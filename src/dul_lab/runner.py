@@ -40,14 +40,14 @@ def make_datasets(cfg: TrainConfig):
 def make_eval_datasets(cfg: TrainConfig):
     """Held-out ID, covariate-shifted copies at each eps, and test outliers.
 
-    The COV sets reuse one noise draw scaled per eps so method comparisons
-    are paired.
+    Each COV set is the held-out ID points plus one N(0, 1) draw scaled by
+    eps, labels kept, so method and eps comparisons are paired.
     """
     id_eval = datamod.make_id_blobs(
         cfg.k, cfg.n_eval_id // cfg.k, cfg.radius, cfg.sigma,
         seed=stream_key(cfg.seed, cfgmod.STREAM_EVAL_ID))
-    cov = {eps: datamod.perturb_covariate(
-               id_eval, eps, seed=stream_key(cfg.seed, cfgmod.STREAM_COV))
+    noise = substream(cfg.seed, cfgmod.STREAM_COV).standard_normal(id_eval.points.shape)
+    cov = {eps: LabeledDataset(id_eval.points + eps * noise, id_eval.labels)
            for eps in cfg.eps_grid}
     sem_test = datamod.make_semantic_ood(
         "test", cfg.n_sem_test, seed=stream_key(cfg.seed, cfgmod.STREAM_SEM_TEST),
@@ -95,8 +95,7 @@ def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
 def pretrain(cfg: TrainConfig) -> Mlp:
     """Cross-entropy training on ID blobs."""
     id_train, _ = make_datasets(cfg)
-    model = mlp_init(cfg.arch, cfg.activation,
-                     seed=stream_key(cfg.seed, cfgmod.STREAM_INIT))
+    model = mlp_init(cfg.arch, seed=stream_key(cfg.seed, cfgmod.STREAM_INIT))
     return _train_loop(model, cfg, id_train, LossSpec(kind="ce"),
                        cfg.pretrain_epochs, cfg.lr0)
 

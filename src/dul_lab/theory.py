@@ -46,7 +46,7 @@ class HypothesisPool:
             raise ValueError("pool members must share input/output dimensions")
 
     @property
-    def size(self) -> int:
+    def size(self) -> int:  # no lab caller; the benchmark under perfbench/ reads it
         return len(self.members)
 
     def _set_terms(self, d: LabeledDataset) -> _SetTerms:

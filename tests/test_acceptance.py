@@ -129,8 +129,8 @@ def test_criterion_04_gradient_exactness():
         LossSpec(kind="dul", lam=1.5, gamma=2.0, m_out=0.5),
     ]
     for trial in range(20):
-        m = mlp_init((2, 5, 3), "tanh", seed=1000 + trial)
-        frozen = mlp_init((2, 5, 3), "tanh", seed=2000 + trial)
+        m = mlp_init((2, 5, 3), seed=1000 + trial)
+        frozen = mlp_init((2, 5, 3), seed=2000 + trial)
         id_batch = Batch(rng.standard_normal((4, 2)),
                          rng.integers(0, 3, size=4))
         ood_batch = Batch(rng.standard_normal((5, 2)))

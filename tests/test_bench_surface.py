@@ -122,7 +122,7 @@ def test_every_attribute_the_tracer_reads_by_name_exists():
     # the lab object each name is read from
     meant_for = {
         "inputs": nn.Batch(np.zeros((1, 2))),
-        "points": data.make_id_blobs(k=2, n_per_class=1),
+        "points": data.make_id_blobs(k=2, n_per_class=1, radius=4.0, sigma=0.75, seed=0),
         "alpha": dirichlet.DirichletParams(np.ones(2)),
         "p": dirichlet.SimplexVector(np.array([0.5, 0.5])),
     }

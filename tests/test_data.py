@@ -20,13 +20,13 @@ def test_labeled_dataset_validation():
 
 
 def test_make_id_blobs_shapes_and_determinism():
-    d = datamod.make_id_blobs(3, 50, sigma=0.5, seed=4)
+    d = datamod.make_id_blobs(3, 50, radius=4.0, sigma=0.5, seed=4)
     assert d.points.shape == (150, 2)
     assert np.array_equal(np.sort(np.unique(d.labels)), [0, 1, 2])
-    d2 = datamod.make_id_blobs(3, 50, sigma=0.5, seed=4)
+    d2 = datamod.make_id_blobs(3, 50, radius=4.0, sigma=0.5, seed=4)
     assert np.array_equal(d.points, d2.points)
     with pytest.raises(ValueError):
-        datamod.make_id_blobs(1, 10)
+        datamod.make_id_blobs(1, 10, radius=4.0, sigma=0.75, seed=0)
 
 
 def test_id_blobs_cluster_near_centers():
@@ -37,15 +37,6 @@ def test_id_blobs_cluster_near_centers():
         assert np.linalg.norm(mean - centers[c]) < 0.2
 
 
-def test_perturb_covariate():
-    d = datamod.make_id_blobs(3, 20, seed=6)
-    shifted = datamod.perturb_covariate(d, eps=0.5, seed=7)
-    assert np.array_equal(shifted.labels, d.labels)
-    assert not np.array_equal(shifted.points, d.points)
-    clean = datamod.perturb_covariate(d, eps=0.0, seed=7)
-    assert np.array_equal(clean.points, d.points)
-
-
 def test_semantic_split_regions_disjoint():
     train_c = datamod.sem_train_centers(3)
     test_c = datamod.sem_test_centers(3)
@@ -54,8 +45,8 @@ def test_semantic_split_regions_disjoint():
 
 
 def test_make_semantic_ood_splits():
-    tr = datamod.make_semantic_ood("train", 200, seed=8, sigma=0.75)
-    te = datamod.make_semantic_ood("test", 200, seed=9, sigma=0.75)
+    tr = datamod.make_semantic_ood("train", 200, seed=8, k=3, sigma=0.75)
+    te = datamod.make_semantic_ood("test", 200, seed=9, k=3, sigma=0.75)
     assert tr.labels is None and te.labels is None
     assert tr.n == te.n == 200
     # train points hug the outer circle; the test split also uses a larger ring
@@ -64,16 +55,16 @@ def test_make_semantic_ood_splits():
     assert abs(np.median(r_tr) - datamod.SEM_RADIUS) < 1.0
     assert r_te.max() > datamod.SEM_TEST_RING_RADIUS - 2.0
     with pytest.raises(ValueError):
-        datamod.make_semantic_ood("validation", 10)
+        datamod.make_semantic_ood("validation", 10, seed=0, k=3, sigma=0.75)
     # blobs this wide would let train and test outliers overlap
     with pytest.raises(ValueError, match="too close"):
-        datamod.make_semantic_ood("train", 10, sigma=5.0)
+        datamod.make_semantic_ood("train", 10, seed=0, k=3, sigma=5.0)
 
 
 def test_semantic_points_far_from_train_support():
     sigma = 0.75
-    tr = datamod.make_semantic_ood("train", 2000, seed=10, sigma=sigma)
-    te = datamod.make_semantic_ood("test", 2000, seed=11, sigma=sigma)
+    tr = datamod.make_semantic_ood("train", 2000, seed=10, k=3, sigma=sigma)
+    te = datamod.make_semantic_ood("test", 2000, seed=11, k=3, sigma=sigma)
     train_c = datamod.sem_train_centers(3)
     d = np.linalg.norm(te.points[:, None, :] - train_c[None, :, :], axis=2)
     # nearly all test points sit at least 2 sigma from every training center

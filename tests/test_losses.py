@@ -193,7 +193,7 @@ def test_dul_loss_shape_mismatch():
 
 
 def test_loss_backward_requires_labels_and_batches():
-    m = mlp_init((2, 4, 3), "tanh", seed=1)
+    m = mlp_init((2, 4, 3), seed=1)
     x = np.zeros((2, 2))
     with pytest.raises(ValueError):
         losses.loss_backward(m, Batch(x), LossSpec(kind="ce"))
@@ -208,8 +208,8 @@ def test_loss_backward_requires_labels_and_batches():
 @pytest.mark.parametrize("kind", ["ce", "oe", "energy_margin", "dpn", "dul"])
 def test_loss_backward_matches_finite_differences(kind):
     rng = np.random.default_rng(47)
-    m = mlp_init((2, 6, 3), "tanh", seed=8)
-    frozen = mlp_init((2, 6, 3), "tanh", seed=9)
+    m = mlp_init((2, 6, 3), seed=8)
+    frozen = mlp_init((2, 6, 3), seed=9)
     id_batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 3, size=5))
     ood_batch = None if kind == "ce" else Batch(rng.standard_normal((6, 2)))
     spec = LossSpec(kind=kind, lam=1.2, gamma=1.5, m_in=-3.0, m_out=0.5,

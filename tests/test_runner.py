@@ -37,8 +37,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(method="mixup")
     with pytest.raises(ValueError):
-        TrainConfig(activation="gelu")
-    with pytest.raises(ValueError):
         TrainConfig(eps_grid=())
     # values that used to fail mid-run, skew noise_sweep or train the wrong
     # head silently: the data are 2-D and the head needs one logit per class
@@ -59,8 +57,9 @@ def test_config_validation():
                 dict(seed=-1), dict(seed=2**120),
                 dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0),
                 dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5),
-                # unbounded, noise that large fails after training (logits
-                # must be finite) or, in a relu model, reports mean_du = nan
+                # unbounded, noise that large carries no class signal and
+                # fails after training once the first layer's sums overflow
+                # (logits must be finite)
                 dict(eps_grid=(0.0, 1e300), cov_eval_eps=0.0),
                 dict(eps_grid=(0.0, 1.7e308), cov_eval_eps=0.0),
                 dict(eps_grid=(0.0, np.nextafter(config.EPS_MAX, np.inf)),
@@ -84,7 +83,6 @@ def test_config_round_trip(tmp_path):
 DEFAULT_CONFIG_TEXT = """\
 [train]
 arch = 2 64 64 3
-activation = tanh
 seed = 1
 pretrain_epochs = 200
 finetune_epochs = 60
@@ -126,7 +124,7 @@ def test_save_config_default_text(tmp_path):
 
 # one valid non-default value per key, plus the keys that must change with it
 NON_DEFAULT = dict(
-    arch=(2, 16, 8, 3), activation="relu", seed=7, pretrain_epochs=5,
+    arch=(2, 16, 8, 3), seed=7, pretrain_epochs=5,
     finetune_epochs=4, lr0=0.1, finetune_lr0=0.02, momentum=0.5,
     batch_id=64, batch_ood=32, method="dul", lam=1.5,
     gamma=10.0, m_in=-10.0, m_out=-3.0, dul_margin=0.3,
@@ -147,21 +145,17 @@ def test_each_config_key_round_trips(tmp_path, name):
 
 
 @settings(deadline=None, max_examples=40)
-@example(k=3, hidden=4, activation="tanh", n_per_class=4,
+@example(k=3, hidden=4, n_per_class=4,
          n_sem_train=4, sigma=5.0, batch_id=8, batch_ood=8)
-@example(k=1, hidden=4, activation="relu", n_per_class=4,
-         n_sem_train=4, sigma=0.5, batch_id=8, batch_ood=8)
 @given(k=st.integers(2, 5), hidden=st.integers(1, 6),
-       activation=st.sampled_from(["relu", "tanh"]),
        n_per_class=st.integers(0, 8), n_sem_train=st.integers(0, 8),
        sigma=st.floats(0.0, 1.0), batch_id=st.integers(0, 16),
        batch_ood=st.integers(0, 16))
-def test_any_config_that_constructs_pretrains(k, hidden, activation,
-                                              n_per_class, n_sem_train, sigma,
-                                              batch_id, batch_ood):
+def test_any_config_that_constructs_pretrains(k, hidden, n_per_class,
+                                              n_sem_train, sigma, batch_id,
+                                              batch_ood):
     try:
-        cfg = TrainConfig(arch=(2, hidden, k), activation=activation,
-                          pretrain_epochs=1, k=k,
+        cfg = TrainConfig(arch=(2, hidden, k), pretrain_epochs=1, k=k,
                           n_per_class=n_per_class, n_sem_train=n_sem_train,
                           sigma=sigma, batch_id=batch_id, batch_ood=batch_ood)
     except ValueError:
@@ -222,6 +216,17 @@ def test_make_datasets_shapes():
     assert np.array_equal(cov[0.0].points, id_eval.points)
 
 
+def test_cov_sets_scale_one_noise_draw():
+    # test_make_datasets_shapes checks that eps 0 is the clean set
+    id_eval, cov, _ = runner.make_eval_datasets(TINY)
+    first = TINY.eps_grid[1]
+    noise = (cov[first].points - id_eval.points) / first
+    assert np.all(noise != 0.0)
+    for eps, d in cov.items():
+        assert np.array_equal(d.labels, id_eval.labels)
+        assert np.allclose(d.points, id_eval.points + eps * noise, rtol=0.0, atol=1e-12)
+
+
 def test_pretrain_learns_the_blobs():
     cfg = TINY.with_(pretrain_epochs=30)
     model = runner.pretrain(cfg)
@@ -267,14 +272,14 @@ def _count_forwards(monkeypatch) -> list:
 
 def test_evaluate_forwards_each_point_set_once(monkeypatch):
     # id_eval, cov[cov_eval_eps] and sem_test
-    model = mlp_init(TINY.arch, TINY.activation, seed=3)
+    model = mlp_init(TINY.arch, seed=3)
     calls = _count_forwards(monkeypatch)
     runner.evaluate(TINY, model)
     assert len(calls) == 3
 
 
 def test_noise_sweep_forwards_each_eps_once(monkeypatch):
-    model = mlp_init(TINY.arch, TINY.activation, seed=3)
+    model = mlp_init(TINY.arch, seed=3)
     calls = _count_forwards(monkeypatch)
     runner.noise_sweep(TINY, model)
     assert len(calls) == len(TINY.eps_grid)
@@ -348,8 +353,7 @@ def test_verify_pool_noise_has_its_own_stream(monkeypatch):
     # a raw seed as the pool's Philox key replays another stream's draws: at
     # seed 0 it is stream_key(0, STREAM_INIT), the init's weights
     cfg = TINY.with_(seed=0)
-    init = mlp_init(cfg.arch, cfg.activation,
-                    seed=config.stream_key(cfg.seed, config.STREAM_INIT))
+    init = mlp_init(cfg.arch, seed=config.stream_key(cfg.seed, config.STREAM_INIT))
     pools = []
     real = theory.perturbed_pool
     monkeypatch.setattr(theory, "perturbed_pool",
@@ -434,7 +438,7 @@ def _cut_open(*args, **kwargs):
 
 
 @pytest.mark.parametrize("write", [
-    lambda p: save_checkpoint(mlp_init((2, 4, 3), "relu", seed=1), p),
+    lambda p: save_checkpoint(mlp_init((2, 4, 3), seed=1), p),
     lambda p: save_config(TINY, p),
     lambda p: cli._write_text(p, "check,lhs,rhs,pass\n"),
 ], ids=["checkpoint", "config", "report"])
@@ -524,10 +528,12 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     "[loss]\nalpha_mapping = exp_relu\n",
     "[loss]\ntau = 3\n",
     "[train]\nschedule = constant\n",
+    "[train]\nactivation = relu\n",
+    "[train]\nactivation = tanh\n",
+    "[train]\nactivation = gelu\n",
     "lr0 = 0.1\n",  # configparser's own error spans lines
     # each failed later, as a traceback or a silently wrong number
     "[data]\nsigma = 5.0\n",
-    "[train]\nactivation = gelu\n",
     "[loss]\nsmoothing = 0.5\n",
     "[train]\narch = 2 8 1\n[data]\nk = 1\n",
     "[data]\nn_per_class = 0\n",
@@ -569,6 +575,26 @@ def test_cli_bad_flag_value_exits_2(tmp_path, capsys, argv):
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, env", [("afile", None), ("afile/sub", None),
+                                      (None, "afile")],
+                         ids=["--out-file", "--out-under-file", "DUL_OUT-file"])
+def test_cli_out_naming_a_file_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                          out, env):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep\n", encoding="utf-8")
+    if env is None:
+        monkeypatch.delenv("DUL_OUT", raising=False)
+    else:
+        monkeypatch.setenv("DUL_OUT", env)
+    argv = ["sweep", "--checkpoint", "x"] + ([] if out is None else ["--out", out])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make output directory {out or env}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "keep\n"
+
+
 def test_cli_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
@@ -578,6 +604,9 @@ def test_cli_unknown_command_exits_2():
 @pytest.mark.parametrize("command", ["eval", "sweep", "finetune"])
 @pytest.mark.parametrize("content", [
     None, "dul-mlp-v1\ntanh\n2\n",
+    # a well-formed 2 -> 3 layer after another hidden activation
+    pytest.param("dul-mlp-v1\nrelu\n1\n3 2\n" + " ".join(["0x0.0p+0"] * 6)
+                 + "\n0x0.0p+0 0x0.0p+0 0x0.0p+0\n", id="relu"),
     # well-formed, but the default config has 2 inputs and k = 3
     pytest.param((2, 8, 5), id="2-8-5"), pytest.param((3, 8, 3), id="3-8-3")])
 def test_cli_bad_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, content):
@@ -585,9 +614,12 @@ def test_cli_bad_checkpoint_exits_2_with_one_line(tmp_path, capsys, command, con
     if content is None:
         expected = f"error: checkpoint not found: {ckpt}\n"
     elif isinstance(content, tuple):
-        save_checkpoint(mlp_init(content, "relu", seed=0), ckpt)
+        save_checkpoint(mlp_init(content, seed=0), ckpt)
         expected = (f"error: {ckpt}: checkpoint maps {content[0]} inputs to "
                     f"{content[-1]} classes, the config 2 inputs to 3 classes\n")
+    elif "relu" in content:
+        ckpt.write_text(content, encoding="utf-8")
+        expected = f"error: {ckpt}: bad checkpoint: hidden activation 'relu' is not 'tanh'\n"
     else:
         ckpt.write_text(content, encoding="utf-8")  # cut after the header
         expected = f"error: {ckpt}: checkpoint ends early\n"

@@ -257,8 +257,8 @@ def test_lemma2_row_violations_count_every_failing_row(monkeypatch):
 
 
 def test_hypothesis_pool_validation():
-    a = mlp_init((2, 4, 3), "tanh", seed=0)
-    b = mlp_init((2, 4, 2), "tanh", seed=0)
+    a = mlp_init((2, 4, 3), seed=0)
+    b = mlp_init((2, 4, 2), seed=0)
     with pytest.raises(ValueError):
         HypothesisPool(())
     with pytest.raises(ValueError):
@@ -268,7 +268,7 @@ def test_hypothesis_pool_validation():
 
 
 def test_perturbed_pool_deterministic():
-    base = mlp_init((2, 4, 3), "tanh", seed=1)
+    base = mlp_init((2, 4, 3), seed=1)
     p1 = theory.perturbed_pool([base], n_perturbed=3, seed=5)
     p2 = theory.perturbed_pool([base], n_perturbed=3, seed=5)
     assert p1.size == 4
@@ -281,7 +281,7 @@ def test_perturbed_pool_noise_is_one_percent_of_the_parameter_rms():
     # the parameter RMS, so mean(dev^2) / sigma^2 is chi^2_n / n (mean 1, sd
     # sqrt(2 / n)) and mean(dev) is N(0, sigma^2 / n). theta - sigma z has the
     # same distribution, so these bounds cannot tell the two apart.
-    base = mlp_init((2, 64, 64, 3), "tanh", seed=4)
+    base = mlp_init((2, 64, 64, 3), seed=4)
     theta = base.get_flat()
     n = theta.size
     sigma = 0.01 * np.sqrt(np.mean(theta**2))
@@ -296,8 +296,8 @@ def test_perturbed_pool_noise_is_one_percent_of_the_parameter_rms():
 def test_disparity_properties():
     rng = np.random.default_rng(65)
     x = rng.standard_normal((50, 2))
-    f = mlp_init((2, 8, 3), "tanh", seed=2)
-    g = mlp_init((2, 8, 3), "tanh", seed=3)
+    f = mlp_init((2, 8, 3), seed=2)
+    g = mlp_init((2, 8, 3), seed=3)
     assert theory.disparity(x, f, f) == 0.0
     d = theory.disparity(x, f, g)
     assert 0.0 <= d <= 1.0
@@ -318,9 +318,9 @@ def test_disparity_properties():
 
 
 def test_theorem1_bound_holds_on_untrained_models():
-    cov = make_id_blobs(3, 100, sigma=0.75, seed=70)
-    sem = make_semantic_ood("test", 200, seed=71, sigma=0.75)
-    model = mlp_init((2, 8, 3), "tanh", seed=72)
+    cov = make_id_blobs(3, 100, radius=4.0, sigma=0.75, seed=70)
+    sem = make_semantic_ood("test", 200, seed=71, k=3, sigma=0.75)
+    model = mlp_init((2, 8, 3), seed=72)
     pool = theory.perturbed_pool([model], n_perturbed=4, seed=73)
     rep = theory.theorem1_bound(cov, sem, model, pool)
     assert rep.holds
@@ -331,7 +331,7 @@ def test_theorem1_bound_holds_on_untrained_models():
 
 
 def _random_pool(n_members, seed):
-    return HypothesisPool(tuple(mlp_init((2, 8, 3), "tanh", seed=seed + s)
+    return HypothesisPool(tuple(mlp_init((2, 8, 3), seed=seed + s)
                                 for s in range(n_members)))
 
 
@@ -341,7 +341,7 @@ def test_theorem1_bound_d_ff_nonneg_and_zero_on_same_samples():
     y = rng.standard_normal((30, 2)) + 3.0
     cov = LabeledDataset(x, rng.integers(0, 3, size=30))
     pool = _random_pool(3, seed=0)
-    for model in (pool.members[0], mlp_init((2, 8, 3), "tanh", seed=9)):
+    for model in (pool.members[0], mlp_init((2, 8, 3), seed=9)):
         same = theory.theorem1_bound(cov, LabeledDataset(x, None),
                                      model, pool)
         assert same.d_ff == 0.0
@@ -372,8 +372,8 @@ def _bound_terms_reference(cov, sem, members):
 # toward uniform (0.2) it lowers lambda_const.
 @pytest.mark.parametrize("scale", [None, 2.0, 0.2])
 def test_theorem1_bound_terms_equal_pairwise_reference(scale):
-    cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
-    sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
+    cov = make_id_blobs(3, 60, radius=4.0, sigma=0.75, seed=74)
+    sem = make_semantic_ood("test", 90, seed=75, k=3, sigma=0.75)
     pool = _random_pool(4, seed=30)
     pool_terms = _bound_terms_reference(cov, sem, pool.members)
     if scale is None:
@@ -400,8 +400,8 @@ GOLDEN_BOUND = (
 
 
 def test_theorem1_bound_is_bit_identical_to_golden():
-    cov = make_id_blobs(3, 60, sigma=0.75, seed=74)
-    sem = make_semantic_ood("test", 90, seed=75, sigma=0.75)
+    cov = make_id_blobs(3, 60, radius=4.0, sigma=0.75, seed=74)
+    sem = make_semantic_ood("test", 90, seed=75, k=3, sigma=0.75)
     pool = _random_pool(4, seed=30)
     outside = pool.members[1].set_flat(2.0 * pool.members[1].get_flat())
     for model, (want, holds) in zip((pool.members[2], outside), GOLDEN_BOUND):
@@ -415,10 +415,10 @@ def test_theorem1_bound_is_bit_identical_to_golden():
 def test_theorem1_bound_forward_count_is_linear_in_pool(monkeypatch):
     # one forward per member per sample set; the model's own terms reuse
     # its forwards, whether it is a member or is appended
-    cov = make_id_blobs(3, 30, sigma=0.75, seed=77)
-    sem = make_semantic_ood("test", 40, seed=78, sigma=0.75)
+    cov = make_id_blobs(3, 30, radius=4.0, sigma=0.75, seed=77)
+    sem = make_semantic_ood("test", 40, seed=78, k=3, sigma=0.75)
     pool = _random_pool(6, seed=40)
-    model = mlp_init((2, 8, 3), "tanh", seed=79)
+    model = mlp_init((2, 8, 3), seed=79)
     calls = []
     real = Mlp.forward_cache
     monkeypatch.setattr(Mlp, "forward_cache",
@@ -440,14 +440,14 @@ def _bits(rep):
 
 
 def _cache_case():
-    cov = make_id_blobs(3, 30, sigma=0.75, seed=80)
-    sem = make_semantic_ood("test", 40, seed=81, sigma=0.75)
+    cov = make_id_blobs(3, 30, radius=4.0, sigma=0.75, seed=80)
+    sem = make_semantic_ood("test", 40, seed=81, k=3, sigma=0.75)
     return cov, sem, _random_pool(5, seed=50)
 
 
 def test_theorem1_bound_warm_calls_equal_cold_ones():
     cov, sem, pool = _cache_case()
-    outside = mlp_init((2, 8, 3), "tanh", seed=82)
+    outside = mlp_init((2, 8, 3), seed=82)
     for _ in range(2):
         for model in pool.members + (outside,):
             cold = theory.theorem1_bound(cov, sem, model, _random_pool(5, seed=50))
@@ -481,7 +481,7 @@ def test_theorem1_bound_with_an_outside_model_leaves_the_pool_as_it_was():
     theory.theorem1_bound(cov, sem, pool.members[0], pool)
     kept = dict(pool._terms)
     assert len(kept) == 2
-    theory.theorem1_bound(cov, sem, mlp_init((2, 8, 3), "tanh", seed=83), pool)
+    theory.theorem1_bound(cov, sem, mlp_init((2, 8, 3), seed=83), pool)
     assert pool._terms.keys() == kept.keys()
     assert all(pool._terms[key] is terms for key, terms in kept.items())
     # the cache takes no part in the pool's identity
