@@ -9,35 +9,12 @@ training outliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .nn import Batch
 
 SEM_RADIUS = 8.0
 SEM_TEST_RING_RADIUS = 12.0
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """n x 2 points and, for a labeled set, one class label per point."""
-
-    points: np.ndarray
-    labels: np.ndarray | None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError("points must be an n x 2 matrix with n >= 1")
-        object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            y = np.asarray(self.labels, dtype=int)
-            if y.shape != (pts.shape[0],):
-                raise ValueError("labels must be a vector of length n")
-            object.__setattr__(self, "labels", y)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
 
 
 def _blob_centers(k: int, radius: float, angle_offset: float = 0.0) -> np.ndarray:
@@ -46,7 +23,7 @@ def _blob_centers(k: int, radius: float, angle_offset: float = 0.0) -> np.ndarra
 
 
 def make_id_blobs(k: int, n_per_class: int, radius: float, sigma: float,
-                  seed: int) -> LabeledDataset:
+                  seed: int) -> Batch:
     """K isotropic Gaussian blobs centered on a circle."""
     if k < 2:
         raise ValueError("need at least two classes")
@@ -56,7 +33,7 @@ def make_id_blobs(k: int, n_per_class: int, radius: float, sigma: float,
         [c + sigma * rng.standard_normal((n_per_class, 2)) for c in centers]
     )
     labels = np.repeat(np.arange(k), n_per_class)
-    return LabeledDataset(points, labels)
+    return Batch(points, labels)
 
 
 def sem_train_centers(k: int) -> np.ndarray:
@@ -87,7 +64,7 @@ def check_sem_separation(k: int, sigma: float) -> None:
 
 
 def make_semantic_ood(split: str, n: int, seed: int, k: int,
-                      sigma: float) -> LabeledDataset:
+                      sigma: float) -> Batch:
     """Semantic outlier blobs; train and test supports are region-disjoint."""
     if split == "train":
         centers = sem_train_centers(k)
@@ -111,5 +88,5 @@ def make_semantic_ood(split: str, n: int, seed: int, k: int,
         ring = SEM_TEST_RING_RADIUS * np.stack([np.cos(arc), np.sin(arc)], axis=1)
         ring = ring + sigma * rng.standard_normal((n - n_blob, 2))
         points = np.concatenate([blobs, ring])
-    return LabeledDataset(points, None)
+    return Batch(points)
 

@@ -34,8 +34,9 @@ class LossSpec:
             raise ValueError(f"kind must be one of {LOSS_KINDS}")
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("lam and gamma must be nonnegative")
-        if not 0.0 <= self.smoothing < 0.5:
-            raise ValueError("smoothing must be in [0, 0.5)")
+        # each target concentration target_alpha0 * smoothing / K must be > 0
+        if not 0.0 < self.smoothing < 0.5:
+            raise ValueError("smoothing must be in (0, 0.5)")
 
 
 def logsumexp(f: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -198,13 +199,13 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
     """
     if id_batch.labels is None:
         raise ValueError("ID batch must be labeled")
-    id_logits, id_cache = m.forward_cache(id_batch.inputs)
+    id_logits, id_cache = m.forward_cache(id_batch.points)
     if spec.kind == "ce":
         value, gi = ce_loss(id_logits, id_batch.labels)
         return value, m.backward(id_cache, gi)
     if ood_batch is None:
         raise ValueError(f"loss kind {spec.kind!r} needs an outlier batch")
-    ood_logits, ood_cache = m.forward_cache(ood_batch.inputs)
+    ood_logits, ood_cache = m.forward_cache(ood_batch.points)
 
     if spec.kind == "oe":
         ce_val, gi = ce_loss(id_logits, id_batch.labels)

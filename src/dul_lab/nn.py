@@ -18,21 +18,32 @@ ACTIVATION = "tanh"  # the hidden activation; checkpoint line 2 names it
 
 @dataclass(frozen=True)
 class Batch:
-    """A matrix of input points with optional integer class labels."""
+    """n x d points with optional integer class labels, one per point: a
+    dataset, a minibatch or any point set forwarded through a model."""
 
-    inputs: np.ndarray
+    points: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=float)
+        x = np.asarray(self.points, dtype=float)
         if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError("inputs must be an n x d matrix with n >= 1")
-        object.__setattr__(self, "inputs", x)
+            raise ValueError("points must be an n x d matrix with n >= 1")
+        object.__setattr__(self, "points", x)
         if self.labels is not None:
             y = np.asarray(self.labels, dtype=int)
             if y.shape != (x.shape[0],):
                 raise ValueError("labels must be a vector of length n")
             object.__setattr__(self, "labels", y)
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """`points`, for the benchmark's tracer under perfbench/, which keys
+        forwards on it. No lab code reads it; it goes with ROADMAP item 6(a)."""
+        return self.points
 
 
 class Mlp:
@@ -64,8 +75,8 @@ class Mlp:
         return self.layers[-1][0].shape[0]
 
     def forward(self, batch: Batch) -> np.ndarray:
-        """Logits for a batch; raises on input-width mismatch."""
-        logits, _ = self.forward_cache(batch.inputs)
+        """Logits for a point set; raises on input-width mismatch."""
+        logits, _ = self.forward_cache(batch.points)
         return logits
 
     def forward_cache(self, x: np.ndarray):

@@ -12,7 +12,6 @@ from . import losses as lossmod
 from . import metrics as metmod
 from . import theory as thmod
 from .config import METHODS, TrainConfig, stream_key, substream
-from .data import LabeledDataset
 from .losses import LossSpec
 from .metrics import EvalReport, ScoreSet, csv_table
 from .nn import Batch, Mlp, cosine_lr, mlp_init, sgd_step
@@ -47,7 +46,7 @@ def make_eval_datasets(cfg: TrainConfig):
         cfg.k, cfg.n_eval_id // cfg.k, cfg.radius, cfg.sigma,
         seed=stream_key(cfg.seed, cfgmod.STREAM_EVAL_ID))
     noise = substream(cfg.seed, cfgmod.STREAM_COV).standard_normal(id_eval.points.shape)
-    cov = {eps: LabeledDataset(id_eval.points + eps * noise, id_eval.labels)
+    cov = {eps: Batch(id_eval.points + eps * noise, id_eval.labels)
            for eps in cfg.eps_grid}
     sem_test = datamod.make_semantic_ood(
         "test", cfg.n_sem_test, seed=stream_key(cfg.seed, cfgmod.STREAM_SEM_TEST),
@@ -65,9 +64,9 @@ def _loss_spec(cfg: TrainConfig) -> LossSpec:
                     smoothing=cfg.smoothing)
 
 
-def _train_loop(model: Mlp, cfg: TrainConfig, id_data: LabeledDataset,
+def _train_loop(model: Mlp, cfg: TrainConfig, id_data: Batch,
                 spec: LossSpec, epochs: int, lr0: float,
-                sem_data: LabeledDataset | None = None,
+                sem_data: Batch | None = None,
                 frozen: Mlp | None = None) -> Mlp:
     rng = substream(cfg.seed, cfgmod.STREAM_BATCH)
     velocity = None
@@ -118,7 +117,7 @@ def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
     ID/COV accuracy and mean uncertainty statistics."""
     id_eval, cov, sem_test = make_eval_datasets(cfg)
     cov_eval = cov[cfg.cov_eval_eps]
-    id_logits, cov_logits, sem_logits = (model.forward(Batch(d.points))
+    id_logits, cov_logits, sem_logits = (model.forward(d)
                                          for d in (id_eval, cov_eval, sem_test))
     detection = {}
     for method in metmod.SCORE_METHODS:
@@ -142,7 +141,7 @@ def noise_sweep(cfg: TrainConfig, model: Mlp):
     rows = []
     for eps in cfg.eps_grid:
         d = cov[eps]
-        logits = model.forward(Batch(d.points))
+        logits = model.forward(d)
         du, tu = metmod.uncertainty_stats(logits)
         if base_du is None:
             base_du = du  # first grid entry is eps = 0, i.e. the ID set

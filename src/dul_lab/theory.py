@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import LabeledDataset
 from .dirichlet import SimplexVector, kl_categorical
 from .losses import ce_loss, oe_per_sample, softmax
 from .nn import Batch, Mlp
@@ -49,7 +48,7 @@ class HypothesisPool:
     def size(self) -> int:  # no lab caller; the benchmark under perfbench/ reads it
         return len(self.members)
 
-    def _set_terms(self, d: LabeledDataset) -> _SetTerms:
+    def _set_terms(self, d: Batch) -> _SetTerms:
         """The members' terms on one sample set, from one forward per member
         the first time the set's content is seen. The key is the content,
         so a set written in place is computed afresh."""
@@ -57,8 +56,7 @@ class HypothesisPool:
                None if d.labels is None else d.labels.tobytes())
         terms = self._terms.get(key)
         if terms is None:
-            batch = Batch(d.points)
-            logits = [f.forward(batch) for f in self.members]
+            logits = [f.forward(d) for f in self.members]
             probs = np.stack([softmax(f) for f in logits])
             k = probs.shape[-1]
             terms = self._terms[key] = _SetTerms(
@@ -156,7 +154,7 @@ def bretagnolle_huber_check(p: SimplexVector, q: SimplexVector) -> dict:
     return {"tv": tv, "kl": kl, "bound": bound, "holds": tv <= bound + 1e-12}
 
 
-def theorem1_bound(cov: LabeledDataset, sem: LabeledDataset, model: Mlp,
+def theorem1_bound(cov: Batch, sem: Batch, model: Mlp,
                    pool: HypothesisPool) -> BoundReport:
     """Generalization-error lower bound from the detection loss, the pool
     disparity discrepancy, and the pool surrogate for the minimal joint

@@ -5,11 +5,13 @@ the benchmark runs."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
 
-from dul_lab import data, dirichlet, nn
+from dul_lab import data, dirichlet, nn, runner, theory
+from dul_lab.config import TrainConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # tracer constants that hold lab names, dotted below the dul_lab package
@@ -128,3 +130,21 @@ def test_every_attribute_the_tracer_reads_by_name_exists():
     }
     assert names == set(meant_for)
     assert sorted(n for n, obj in meant_for.items() if not hasattr(obj, n)) == []
+
+
+def test_every_attribute_the_benchmark_reads_off_lab_objects_exists():
+    """The benchmark also reads attributes off the objects the lab hands it,
+    which the alias scan above does not resolve."""
+    id_train, _ = runner.make_datasets(TrainConfig(seed=1))
+    pool = theory.HypothesisPool((nn.mlp_init((2, 4, 3)),))
+    # the object, the attribute, and the benchmark source that reads it
+    read_off = [(id_train, "points", "id_train.points"),
+                (id_train, "labels", "id_train.labels"),
+                (id_train, "n", "id_train.n"),
+                (id_train, "inputs", '"inputs"'),  # the tracer's getattr
+                (pool, "size", "self.pool.size"),
+                (TrainConfig(), "activation", "cfg.activation")]
+    source = "\n".join(p.read_text(encoding="utf-8") for p in sorted(BENCH.rglob("*.py")))
+    # a read the benchmark no longer makes goes from this list
+    assert [r for *_, r in read_off if not re.search(re.escape(r) + r"(?!\w)", source)] == []
+    assert [f"{type(o).__name__}.{a}" for o, a, _ in read_off if not hasattr(o, a)] == []

@@ -6,17 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dul_lab import data as datamod
-from dul_lab.data import LabeledDataset
-
-
-def test_labeled_dataset_validation():
-    pts = np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        LabeledDataset(np.zeros((4, 3)), None)
-    with pytest.raises(ValueError):
-        LabeledDataset(pts, np.zeros(3, dtype=int))
-    d = LabeledDataset(pts, np.zeros(4, dtype=int))
-    assert d.n == 4
 
 
 def test_make_id_blobs_shapes_and_determinism():

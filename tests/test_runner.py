@@ -47,7 +47,7 @@ def test_config_validation():
                 dict(batch_ood=0),
                 # values that used to fail only once a run reached them, or
                 # that evaluate snapped or truncated without a word
-                dict(smoothing=0.5),
+                dict(smoothing=0.5), dict(smoothing=0.0),
                 dict(smoothing=-0.1), dict(lam=-1.0), dict(k=1, arch=(2, 8, 1)),
                 dict(n_per_class=0), dict(n_sem_train=0), dict(n_sem_test=0),
                 dict(n_eval_id=100), dict(n_eval_id=0), dict(sigma=5.0),
@@ -535,6 +535,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     # each failed later, as a traceback or a silently wrong number
     "[data]\nsigma = 5.0\n",
     "[loss]\nsmoothing = 0.5\n",
+    "[loss]\nsmoothing = 0\n",  # zero concentrations in dpn's target Dirichlet
     "[train]\narch = 2 8 1\n[data]\nk = 1\n",
     "[data]\nn_per_class = 0\n",
     "[data]\nn_eval_id = 100\n",

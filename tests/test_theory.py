@@ -10,7 +10,7 @@ from scipy.special import softmax
 
 from dul_lab import dirichlet as dmath
 from dul_lab import theory
-from dul_lab.data import LabeledDataset, make_id_blobs, make_semantic_ood
+from dul_lab.data import make_id_blobs, make_semantic_ood
 from dul_lab.dirichlet import DirichletParams, SimplexVector
 from dul_lab.losses import softmax as lab_softmax
 from dul_lab.nn import Batch, Mlp, mlp_init
@@ -326,8 +326,7 @@ def test_theorem1_bound_holds_on_untrained_models():
     assert rep.holds
     assert rep.gerror >= rep.lower_bound - 1e-9
     with pytest.raises(ValueError):
-        theory.theorem1_bound(
-            LabeledDataset(cov.points, None), sem, model, pool)
+        theory.theorem1_bound(Batch(cov.points), sem, model, pool)
 
 
 def _random_pool(n_members, seed):
@@ -339,14 +338,12 @@ def test_theorem1_bound_d_ff_nonneg_and_zero_on_same_samples():
     rng = np.random.default_rng(67)
     x = rng.standard_normal((30, 2))
     y = rng.standard_normal((30, 2)) + 3.0
-    cov = LabeledDataset(x, rng.integers(0, 3, size=30))
+    cov = Batch(x, rng.integers(0, 3, size=30))
     pool = _random_pool(3, seed=0)
     for model in (pool.members[0], mlp_init((2, 8, 3), seed=9)):
-        same = theory.theorem1_bound(cov, LabeledDataset(x, None),
-                                     model, pool)
+        same = theory.theorem1_bound(cov, Batch(x), model, pool)
         assert same.d_ff == 0.0
-        shifted = theory.theorem1_bound(cov, LabeledDataset(y, None),
-                                        model, pool)
+        shifted = theory.theorem1_bound(cov, Batch(y), model, pool)
         assert shifted.d_ff >= 0.0
 
 
@@ -468,7 +465,7 @@ def test_theorem1_bound_recomputes_a_set_written_in_place():
 
 def test_theorem1_bound_keys_a_set_by_its_labels_too():
     cov, sem, pool = _cache_case()
-    relabeled = LabeledDataset(cov.points, (cov.labels + 1) % 3)
+    relabeled = Batch(cov.points, (cov.labels + 1) % 3)
     model = pool.members[2]
     theory.theorem1_bound(cov, sem, model, pool)
     got = theory.theorem1_bound(relabeled, sem, model, pool)

@@ -9,10 +9,10 @@ benchmark under perfbench/ calls it (tests/test_bench_surface.py checks the
 names that benchmark uses).
 
 It sees statements, not values. An option whose other value lives inside
-a one-line expression, such as `lr0 if cfg.schedule == "constant" else
-cosine_lr(...)` or `hinge ** (tau - 1)`, runs that line on every path, so
-no line is listed for the value that no run sets. Options like those have
-to be found by reading the code.
+a one-line expression, such as the branch of a conditional expression or
+an exponent read from the config, runs that line on every path, so no
+line is listed for the value that no run sets. Options like those have to
+be found by reading the code.
 
 Uses the standard library only. Run it from anywhere:
 
