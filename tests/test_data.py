@@ -6,6 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dul_lab import data as datamod
+from dul_lab.nn import Batch
+
+
+def test_labeled_dataset_validation():
+    """The data module's point sets are nn.Batch: one label per point, and
+    the generators build n x 2 sets, labeled only in distribution."""
+    pts = np.zeros((4, 2))
+    with pytest.raises(ValueError):
+        Batch(pts, np.zeros(3, dtype=int))
+    d = Batch(pts, np.zeros(4, dtype=int))
+    assert d.n == 4
+    ind = datamod.make_id_blobs(3, 5, radius=4.0, sigma=0.5, seed=0)
+    assert isinstance(ind, Batch)
+    assert (ind.points.shape, ind.labels.shape, ind.n) == ((15, 2), (15,), 15)
+    sem = datamod.make_semantic_ood("train", 7, seed=0, k=3, sigma=0.5)
+    assert isinstance(sem, Batch)
+    assert sem.points.shape == (7, 2) and sem.labels is None
 
 
 def test_make_id_blobs_shapes_and_determinism():
