@@ -1,10 +1,11 @@
-"""Training objectives: ID cross-entropy, outlier exposure, energy margin,
-Dirichlet prior matching, and decoupled uncertainty learning.
+"""Training objectives, one row of named terms per LossSpec.kind in
+OBJECTIVES: a base term on the labeled ID logits, then weighted outlier
+terms. ce = ce; oe = ce + lam * oe; energy_margin = ce + lam * energy_margin;
+dpn = dpn_target (target KL on ID) + dpn_flat (flat KL on outliers);
+dul = dirichlet_ce + lam * dul_hinge + gamma * dul_anchor.
 
-Every loss returns its scalar value together with the exact gradient with
-respect to the logits it consumed, so the network backward pass can be
-composed from any of them. Composite objectives (the finetuning methods)
-are assembled by loss_backward from a LossSpec.
+Every term returns its value with exact logit gradients; loss_backward sums
+them in table order and back-propagates the sums.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 
 from . import dirichlet as dmath
 from .nn import Batch, Mlp
-
-LOSS_KINDS = ("ce", "oe", "energy_margin", "dpn", "dul")
 
 
 @dataclass(frozen=True)
@@ -63,27 +62,22 @@ def softmax(f: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def ce_loss(logits, labels, dirichlet_mode: bool = False):
-    """Mean -ln p_y. In dirichlet mode p is the Dirichlet mean of the mapped
-    logits instead of the softmax."""
+def _labeled(logits, labels):
     f = np.asarray(logits, dtype=float)
     y = np.asarray(labels, dtype=int)
-    n, k = f.shape
-    if (y < 0).any() or (y >= k).any():
+    if (y < 0).any() or (y >= f.shape[1]).any():
         raise ValueError("label out of range")
-    if not dirichlet_mode:
-        logp = f - logsumexp(f, keepdims=True)
-        value = float(-logp[np.arange(n), y].mean())
-        grad = np.exp(logp)
-        grad[np.arange(n), y] -= 1.0
-        return value, grad / n
-    rows = np.arange(n)
-    a = dmath.alpha_rows(f)
-    a0 = a.sum(axis=1)
-    value = float(-np.log(a[rows, y] / a0).mean())
-    galpha = np.repeat((1.0 / a0)[:, None], k, axis=1)
-    galpha[rows, y] -= 1.0 / a[rows, y]
-    grad = galpha * dmath.alpha_jacobian_rows(f)
+    return f, y
+
+
+def ce_loss(logits, labels):
+    """Mean -ln softmax(f)_y and its gradient."""
+    f, y = _labeled(logits, labels)
+    n = f.shape[0]
+    logp = f - logsumexp(f, keepdims=True)
+    value = float(-logp[np.arange(n), y].mean())
+    grad = np.exp(logp)
+    grad[np.arange(n), y] -= 1.0
     return value, grad / n
 
 
@@ -93,90 +87,101 @@ def oe_per_sample(logits) -> np.ndarray:
     return logsumexp(f) - f.mean(axis=1)
 
 
-def oe_loss(logits):
-    """Mean uniform cross-entropy; minimized (value ln K) at uniform softmax."""
-    f = np.asarray(logits, dtype=float)
-    n, k = f.shape
-    value = float(oe_per_sample(f).mean())
-    grad = (softmax(f) - 1.0 / k) / n
-    return value, grad
-
-
 def energy_scores(logits) -> np.ndarray:
     return -logsumexp(np.asarray(logits, dtype=float))
 
 
-def energy_margin_loss(id_logits, ood_logits, m_in: float, m_out: float):
-    """Squared hinge on energies: ID pushed below m_in, outliers above m_out."""
-    fi = np.asarray(id_logits, dtype=float)
-    fo = np.asarray(ood_logits, dtype=float)
-    if fi.shape[0] == 0 or fo.shape[0] == 0:
-        raise ValueError("batches must be nonempty")
-    ei = energy_scores(fi)
-    eo = energy_scores(fo)
-    hi = np.maximum(ei - m_in, 0.0)
-    ho = np.maximum(m_out - eo, 0.0)
-    value = float((hi**2).mean() + (ho**2).mean())
-    # dE/df = -softmax(f)
-    gi = (2.0 * hi / fi.shape[0])[:, None] * (-softmax(fi))
-    go = (2.0 * ho / fo.shape[0])[:, None] * softmax(fo)
-    return value, (gi, go)
+# Base terms: (spec, ID logits, labels) -> (value, ID gradient)
+
+def _ce(spec, f, y):
+    return ce_loss(f, y)
 
 
-def dpn_loss(id_logits, id_labels, ood_logits, target_alpha0: float,
-             smoothing: float):
-    """Dirichlet prior matching: the ID prediction is pulled toward a sharp
-    target Dirichlet at the label, the outlier prediction toward the flat
-    Dirichlet."""
-    fi = np.asarray(id_logits, dtype=float)
-    fo = np.asarray(ood_logits, dtype=float)
-    y = np.asarray(id_labels, dtype=int)
-    n, k = fi.shape
-    m = fo.shape[0]
-    if target_alpha0 <= k:
+def _dirichlet_ce(spec, f, y):
+    """Mean -ln of the Dirichlet mean at the label."""
+    f, y = _labeled(f, y)
+    n, k = f.shape
+    rows = np.arange(n)
+    a = dmath.alpha_rows(f)
+    a0 = a.sum(axis=1)
+    value = float(-np.log(a[rows, y] / a0).mean())
+    galpha = np.repeat((1.0 / a0)[:, None], k, axis=1)
+    galpha[rows, y] -= 1.0 / a[rows, y]
+    return value, galpha * dmath.alpha_jacobian_rows(f) / n
+
+
+def _dpn_target(spec, f, y):
+    """Mean KL from a sharp target Dirichlet at the label (a smoothed
+    one-hot scaled to target_alpha0) to the predicted one."""
+    n, k = f.shape
+    if spec.target_alpha0 <= k:
         raise ValueError("target_alpha0 must exceed K")
-    # smoothed one-hot at the label, scaled to the target strength
-    target = np.full((n, k), smoothing / k)
-    target[np.arange(n), y] += 1.0 - smoothing
-    target = target_alpha0 * target
-    pred = dmath.alpha_rows(fi)
-    gi = (dmath.kl_dirichlet_grad_second_rows(target, pred)
-          * dmath.alpha_jacobian_rows(fi)) / n
-    pred_o = dmath.alpha_rows(fo)
-    flat = np.ones_like(pred_o)
-    go = (dmath.kl_dirichlet_grad_first_rows(pred_o, flat)
+    f, y = _labeled(f, y)
+    target = np.full((n, k), spec.smoothing / k)
+    target[np.arange(n), y] += 1.0 - spec.smoothing
+    target = spec.target_alpha0 * target
+    pred = dmath.alpha_rows(f)
+    grad = (dmath.kl_dirichlet_grad_second_rows(target, pred)
+            * dmath.alpha_jacobian_rows(f)) / n
+    return np.sum(dmath.kl_dirichlet_rows(target, pred)) / n, grad
+
+
+# Outlier terms, weighted: (spec, ID logits, outlier logits, frozen outlier
+# logits or None) -> (value, ID gradient or None, outlier gradient)
+
+def _oe(spec, fi, fo, f0):
+    """lam x mean uniform cross-entropy, least (ln K) at a uniform softmax."""
+    n, k = fo.shape
+    value = spec.lam * float(oe_per_sample(fo).mean())
+    return value, None, spec.lam * ((softmax(fo) - 1.0 / k) / n)
+
+
+def _energy_margin(spec, fi, fo, f0):
+    """lam x squared hinges on energies: ID pushed below m_in, outliers
+    above m_out. dE/df = -softmax(f)."""
+    hi = np.maximum(energy_scores(fi) - spec.m_in, 0.0)
+    ho = np.maximum(spec.m_out - energy_scores(fo), 0.0)
+    value = spec.lam * float((hi**2).mean() + (ho**2).mean())
+    gi = spec.lam * ((2.0 * hi / fi.shape[0])[:, None] * (-softmax(fi)))
+    go = spec.lam * ((2.0 * ho / fo.shape[0])[:, None] * softmax(fo))
+    return value, gi, go
+
+
+def _dpn_flat(spec, fi, fo, f0):
+    """Mean KL from the predicted outlier Dirichlet to the flat one."""
+    m = fo.shape[0]
+    pred = dmath.alpha_rows(fo)
+    flat = np.ones_like(pred)
+    go = (dmath.kl_dirichlet_grad_first_rows(pred, flat)
           * dmath.alpha_jacobian_rows(fo)) / m
-    value = (np.sum(dmath.kl_dirichlet_rows(target, pred)) / n
-             + np.sum(dmath.kl_dirichlet_rows(pred_o, flat)) / m)
-    return float(value), (gi, go)
+    return np.sum(dmath.kl_dirichlet_rows(pred, flat)) / m, None, go
 
 
-def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
-             lam: float, gamma: float, m_out: float):
-    """Dirichlet-mean ID cross-entropy plus a linear hinge that raises
-    differential entropy on outliers above its frozen-model value by a
-    margin, plus a KL anchor keeping the predicted class distribution at its
-    frozen value.
-
-    Gradients flow only through the current model; frozen quantities are
-    treated as constants.
-    """
-    fo = np.asarray(ood_logits, dtype=float)
-    f0 = np.asarray(frozen_ood_logits, dtype=float)
+def _dul_alphas(fo, f0):
+    """Current and frozen (constant) outlier concentrations, current Jacobian."""
+    if f0 is None:
+        raise ValueError("dul needs the frozen pretrained model")
     if fo.shape != f0.shape:
         raise ValueError("current and frozen outlier logits must share a shape")
-    value, gi = ce_loss(id_logits, id_labels, dirichlet_mode=True)
-    m = fo.shape[0]
-    a = dmath.alpha_rows(fo)
-    a_frozen = dmath.alpha_rows(f0)
-    jac = dmath.alpha_jacobian_rows(fo)
-    # detection: hinge on the entropy rise over the frozen model's
-    hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + m_out)
+    return dmath.alpha_rows(fo), dmath.alpha_rows(f0), dmath.alpha_jacobian_rows(fo)
+
+
+def _dul_hinge(spec, fi, fo, f0):
+    """lam x a linear hinge that raises the outliers' differential entropy
+    above the frozen model's by the margin -m_out."""
+    a, a_frozen, jac = _dul_alphas(fo, f0)
+    hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + spec.m_out)
                        - dmath.diff_entropy_rows(a))
     slope = np.where(hinge > 0, -1.0, 0.0)
     galpha = slope[:, None] * dmath.diff_entropy_grad_rows(a)
-    go = lam * (galpha * jac) / m
-    # anchor: KL from the predicted class distribution to the frozen one
+    return (spec.lam * np.sum(hinge) / len(fo), None,
+            spec.lam * (galpha * jac) / len(fo))
+
+
+def _dul_anchor(spec, fi, fo, f0):
+    """gamma x KL from the predicted class distribution on outliers to the
+    frozen model's, which keeps total uncertainty where it was."""
+    a, a_frozen, jac = _dul_alphas(fo, f0)
     a0 = a.sum(axis=1)
     p = a / a0[:, None]
     p0 = a_frozen / a_frozen.sum(axis=1, keepdims=True)
@@ -184,52 +189,42 @@ def dul_loss(id_logits, id_labels, ood_logits, frozen_ood_logits,
     kl = np.sum(p * lr, axis=1)
     # d KL(p||p0) / d alpha_j = (ln(p_j/p0_j) - KL) / alpha0
     galpha = (lr - kl[:, None]) / a0[:, None]
-    go += gamma * (galpha * jac) / m
-    value += lam * np.sum(hinge) / m + gamma * np.sum(kl) / m
-    return float(value), (gi, go)
+    return (spec.gamma * np.sum(kl) / len(fo), None,
+            spec.gamma * (galpha * jac) / len(fo))
+
+
+# kind -> (base term, outlier terms...)
+OBJECTIVES = {
+    "ce": (_ce,),
+    "oe": (_ce, _oe),
+    "energy_margin": (_ce, _energy_margin),
+    "dpn": (_dpn_target, _dpn_flat),
+    "dul": (_dirichlet_ce, _dul_hinge, _dul_anchor),
+}
+LOSS_KINDS = tuple(OBJECTIVES)
 
 
 def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
                   ood_batch: Batch | None = None,
                   frozen: Mlp | None = None):
-    """Value and exact parameter gradients of the full training objective.
-
-    ce needs a labeled ID batch only; oe/energy_margin/dpn/dul additionally
-    need an outlier batch, and dul a frozen reference model.
-    """
+    """Value and exact parameter gradients of spec's objective, its terms
+    summed in table order. A kind with outlier terms needs an outlier batch,
+    and dul the frozen pretrained model, forwarded on it whenever given."""
     if id_batch.labels is None:
         raise ValueError("ID batch must be labeled")
+    base, *terms = OBJECTIVES[spec.kind]
     id_logits, id_cache = m.forward_cache(id_batch.points)
-    if spec.kind == "ce":
-        value, gi = ce_loss(id_logits, id_batch.labels)
+    value, gi = base(spec, id_logits, id_batch.labels)
+    if not terms:
         return value, m.backward(id_cache, gi)
     if ood_batch is None:
         raise ValueError(f"loss kind {spec.kind!r} needs an outlier batch")
     ood_logits, ood_cache = m.forward_cache(ood_batch.points)
-
-    if spec.kind == "oe":
-        ce_val, gi = ce_loss(id_logits, id_batch.labels)
-        oe_val, go = oe_loss(ood_logits)
-        value = ce_val + spec.lam * oe_val
-        go = spec.lam * go
-    elif spec.kind == "energy_margin":
-        ce_val, gi = ce_loss(id_logits, id_batch.labels)
-        em_val, (gi_e, go) = energy_margin_loss(id_logits, ood_logits,
-                                                spec.m_in, spec.m_out)
-        value = ce_val + spec.lam * em_val
-        gi = gi + spec.lam * gi_e
-        go = spec.lam * go
-    elif spec.kind == "dpn":
-        dpn_val, (gi, go) = dpn_loss(id_logits, id_batch.labels, ood_logits,
-                                     spec.target_alpha0, spec.smoothing)
-        value = dpn_val
-    else:  # dul, the last kind LossSpec admits
-        if frozen is None:
-            raise ValueError("dul needs the frozen pretrained model")
-        frozen_logits = frozen.forward(ood_batch)
-        value, (gi, go) = dul_loss(id_logits, id_batch.labels, ood_logits,
-                                   frozen_logits, spec.lam, spec.gamma,
-                                   spec.m_out)
-
-    return value, [(gw + ow, gb + ob) for (gw, gb), (ow, ob)
-                   in zip(m.backward(id_cache, gi), m.backward(ood_cache, go))]
+    frozen_logits = None if frozen is None else frozen.forward(ood_batch)
+    values, gis, gos = zip(*(term(spec, id_logits, ood_logits, frozen_logits)
+                             for term in terms))
+    gi = sum((g for g in gis if g is not None), gi)
+    go = sum(gos[1:], gos[0])
+    return float(value + sum(values)), [
+        (gw + ow, gb + ob) for (gw, gb), (ow, ob)
+        in zip(m.backward(id_cache, gi), m.backward(ood_cache, go))]

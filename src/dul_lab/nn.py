@@ -120,6 +120,7 @@ class Mlp:
         return Mlp(layers)
 
 
+# no lab caller; the benchmark under perfbench/ calls it
 def grads_flat(grads) -> np.ndarray:
     return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
 

@@ -110,7 +110,8 @@ def _tvd_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def disparity(samples, f: Mlp, f2: Mlp) -> float:
-    """Mean TVD between the two models' softmax predictions on the samples."""
+    """Mean TVD between the two models' softmax predictions on the samples.
+    No lab caller; the benchmark under perfbench/ counts its calls."""
     x = np.asarray(samples, dtype=float)
     if x.shape[0] < 1:
         raise ValueError("need at least one sample")

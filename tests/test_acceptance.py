@@ -277,16 +277,16 @@ def test_criterion_09_uncertainty_sweep(experiment):
     report(9, ok, "; ".join(details))
 
 
-def test_dul_anchor_invariants(experiment):
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dul_anchor_invariants(experiment, seed):
     """dul must raise distributional uncertainty on the training outliers by
     at least half its margin while leaving total uncertainty there nearly
     unchanged."""
-    run = experiment["runs"][1]
+    run = experiment["runs"][seed]
     cfg = run["cfg"]
     _, sem_train = runner.make_datasets(cfg)
-    batch = Batch(sem_train.points)
-    du0, tu0 = metrics.uncertainty_stats(run["models"]["none"].forward(batch))
-    du1, tu1 = metrics.uncertainty_stats(run["models"]["dul"].forward(batch))
+    du0, tu0 = metrics.uncertainty_stats(run["models"]["none"].forward(sem_train))
+    du1, tu1 = metrics.uncertainty_stats(run["models"]["dul"].forward(sem_train))
     assert du1 - du0 >= cfg.dul_margin / 2.0
     assert abs(tu1 - tu0) <= 0.05
 

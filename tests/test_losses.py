@@ -1,4 +1,7 @@
-"""Unit tests for the loss zoo: values, exact gradients, validation."""
+"""Unit tests for the loss terms and objectives: values, exact gradients,
+weights, validation."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +13,13 @@ from scipy import special
 from dul_lab import dirichlet as dmath
 from dul_lab import losses
 from dul_lab.losses import LossSpec
-from dul_lab.nn import Batch, mlp_init
+from dul_lab.nn import Batch, grads_flat, mlp_init
+
+# each weighted term and the LossSpec field that weights it
+WEIGHTS = {"oe": "lam", "energy_margin": "lam", "dul_hinge": "lam",
+           "dul_anchor": "gamma"}
+SPEC = dict(lam=1.2, gamma=1.5, m_in=-3.0, m_out=0.5, target_alpha0=15.0,
+            smoothing=0.01)
 
 
 def fd_logit_grad(fn, f, h=1e-6):
@@ -27,6 +36,35 @@ def fd_logit_grad(fn, f, h=1e-6):
 def assert_close_grads(analytic, fd, tol=1e-5):
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(analytic - fd)) < tol * scale
+
+
+def term_params(keep=lambda name: True):
+    """(kind, index, term) of each term of the objective table whose name
+    (without its leading underscore) passes keep; index 0 is a row's base."""
+    return [pytest.param(kind, i, fn, id=f"{kind}-{fn.__name__[1:]}")
+            for kind, row in losses.OBJECTIVES.items()
+            for i, fn in enumerate(row) if keep(fn.__name__[1:])]
+
+
+def term(name):
+    return next(p.values[2] for p in term_params(lambda n: n == name))
+
+
+def call_term(i, fn, spec, fi, y, fo, f0):
+    """(value, ID gradient, outlier gradient) of a base (i == 0) or outlier
+    term, a gradient the term does not have as zeros."""
+    if i == 0:
+        value, gi = fn(spec, fi, y)
+        return value, gi, np.zeros_like(fo)
+    value, gi, go = fn(spec, fi, fo, f0)
+    return value, np.zeros_like(fi) if gi is None else gi, go
+
+
+def logits(rng, rows, k=3):
+    """Normal logits kept away from the relu kink at 0 of alpha = relu(f) + 1."""
+    f = rng.normal(0.0, 2.0, size=(rows, k))
+    f[np.abs(f) < 0.05] = 0.1
+    return f
 
 
 # logit entries: values that tie often, the largest finite floats, and any
@@ -63,7 +101,7 @@ def test_logsumexp_and_softmax_non_finite_rows_match_scipy():
     # so a training loss over such logits is non-finite and the loop stops
     with np.errstate(invalid="ignore"):
         assert not np.isfinite(losses.ce_loss(f[:6], np.zeros(6, dtype=int))[0])
-        assert not np.isfinite(losses.oe_loss(f[:6])[0])
+        assert not np.isfinite(term("oe")(LossSpec("oe"), None, f[:6], None)[0])
 
 
 def test_loss_spec_validation():
@@ -71,8 +109,10 @@ def test_loss_spec_validation():
         LossSpec(kind="hinge")
     with pytest.raises(ValueError):
         LossSpec(kind="oe", lam=-1.0)
-    with pytest.raises(ValueError):
-        LossSpec(kind="dpn", smoothing=0.7)
+    for smoothing in (0.0, 0.5, 0.7):  # the open interval (0, 0.5)
+        with pytest.raises(ValueError):
+            LossSpec(kind="dpn", smoothing=smoothing)
+    LossSpec(kind="dul", lam=0.0, gamma=0.0, smoothing=1e-12)
 
 
 def test_ce_loss_value_and_grad():
@@ -90,29 +130,14 @@ def test_ce_loss_value_and_grad():
         losses.ce_loss(f, np.array([0, 1, 2, 3, 0, 1, 2, 9]))
 
 
-def test_ce_loss_dirichlet_mode_grad():
-    rng = np.random.default_rng(33)
-    # keep logits away from the relu kink at zero
-    f = rng.normal(0.0, 2.0, size=(6, 3))
-    f[np.abs(f) < 0.05] = 0.1
-    y = rng.integers(0, 3, size=6)
-    value, grad = losses.ce_loss(f, y, dirichlet_mode=True)
-    assert value > 0.0
-    fd = fd_logit_grad(lambda z: losses.ce_loss(z, y, dirichlet_mode=True)[0], f)
-    assert_close_grads(grad, fd)
-
-
 def test_oe_loss_minimum_and_grad():
-    k = 5
-    value, grad = losses.oe_loss(np.zeros((3, k)))
-    assert abs(value - np.log(k)) < 1e-12
-    assert np.allclose(grad, 0.0)
+    k, spec = 5, LossSpec("oe", lam=1.2)
+    value, gi, go = term("oe")(spec, None, np.zeros((3, k)), None)
+    assert abs(value - 1.2 * np.log(k)) < 1e-12
+    assert gi is None and np.allclose(go, 0.0)
     rng = np.random.default_rng(35)
-    f = rng.normal(0.0, 2.0, size=(7, k))
-    value, grad = losses.oe_loss(f)
-    assert value >= np.log(k) - 1e-12
-    fd = fd_logit_grad(lambda z: losses.oe_loss(z)[0], f)
-    assert_close_grads(grad, fd)
+    value, _, _ = term("oe")(spec, None, rng.normal(0.0, 2.0, size=(7, k)), None)
+    assert value >= 1.2 * np.log(k) - 1e-12
 
 
 def test_energy_scores_shift_invariance_and_value():
@@ -127,82 +152,122 @@ def test_energy_margin_loss_regions_and_grad():
     # both hinges inactive: zero loss and zero grads
     fi = np.full((2, 3), 10.0)   # energy about -11.1, below m_in
     fo = np.full((2, 3), -10.0)  # energy about 8.9, above m_out
-    value, (gi, go) = losses.energy_margin_loss(fi, fo, m_in=-5.0, m_out=0.0)
+    spec = LossSpec("energy_margin", m_in=-5.0, m_out=0.0)
+    value, gi, go = term("energy_margin")(spec, fi, fo, None)
     assert value == 0.0
     assert np.allclose(gi, 0.0) and np.allclose(go, 0.0)
-
-    rng = np.random.default_rng(37)
-    fi = rng.normal(0.0, 2.0, size=(5, 3))
-    fo = rng.normal(0.0, 2.0, size=(4, 3))
-    m_in, m_out = -3.0, 1.5
-    value, (gi, go) = losses.energy_margin_loss(fi, fo, m_in, m_out)
-    fdi = fd_logit_grad(
-        lambda z: losses.energy_margin_loss(z, fo, m_in, m_out)[0], fi)
-    fdo = fd_logit_grad(
-        lambda z: losses.energy_margin_loss(fi, z, m_in, m_out)[0], fo)
-    assert_close_grads(gi, fdi)
-    assert_close_grads(go, fdo)
-    with pytest.raises(ValueError):
-        losses.energy_margin_loss(np.zeros((0, 3)), fo, m_in, m_out)
+    # flat logits have energy -ln 3; each hinge is active on its side of its
+    # margin only, with value lam * (distance past the margin)^2
+    flat, e = np.zeros((2, 3)), -np.log(3.0)
+    for m_in, m_out, want in ((e - 0.5, e - 1.0, 0.25), (e + 0.5, e - 1.0, 0.0),
+                              (e + 0.5, e + 0.25, 0.0625)):
+        spec = LossSpec("energy_margin", lam=2.0, m_in=m_in, m_out=m_out)
+        value, gi, go = term("energy_margin")(spec, flat, flat, None)
+        assert value == pytest.approx(2.0 * want, rel=1e-12)
+        assert (np.abs(gi).max() > 0) == (m_in < e) and (np.abs(go).max() > 0) == (m_out > e)
 
 
-def test_dpn_loss_grad():
-    rng = np.random.default_rng(39)
-    fi = rng.normal(0.0, 2.0, size=(4, 3))
-    fo = rng.normal(0.0, 2.0, size=(4, 3))
-    for f in (fi, fo):
-        f[np.abs(f) < 0.05] = 0.1
+@pytest.mark.parametrize("kind,i,fn", term_params())
+def test_term_matches_finite_differences(kind, i, fn):
+    """Each term on its own, on its ID and its outlier logits, under the
+    acceptance gate's bound; a gradient the term says it lacks must be 0."""
+    rng = np.random.default_rng(59)
+    fi, fo, f0 = logits(rng, 4), logits(rng, 5), logits(rng, 5)
     y = rng.integers(0, 3, size=4)
-    value, (gi, go) = losses.dpn_loss(fi, y, fo, target_alpha0=15.0,
-                                      smoothing=0.01)
-    assert value > 0.0
-    fdi = fd_logit_grad(
-        lambda z: losses.dpn_loss(z, y, fo, 15.0, 0.01)[0], fi)
-    fdo = fd_logit_grad(
-        lambda z: losses.dpn_loss(fi, y, z, 15.0, 0.01)[0], fo)
-    assert_close_grads(gi, fdi)
-    assert_close_grads(go, fdo)
-    with pytest.raises(ValueError):
-        losses.dpn_loss(fi, y, fo, target_alpha0=2.0, smoothing=0.01)
+    spec = LossSpec(kind=kind, **SPEC)
+    value, gi, go = call_term(i, fn, spec, fi, y, fo, f0)
+    # a term that is 0 here, or flat in the logits it reads, proves nothing
+    assert value > 0.0 and np.abs(go if i else gi).max() > 0.0
+    fdi = fd_logit_grad(lambda z: call_term(i, fn, spec, z, y, fo, f0)[0], fi)
+    fdo = fd_logit_grad(lambda z: call_term(i, fn, spec, fi, y, z, f0)[0], fo)
+    assert_close_grads(gi, fdi, tol=1e-4)
+    assert_close_grads(go, fdo, tol=1e-4)
 
 
-def test_dul_loss_grad():
-    rng = np.random.default_rng(42)
-    fi = rng.normal(0.0, 2.0, size=(4, 3))
-    fo = rng.normal(0.0, 2.0, size=(5, 3))
-    f0 = rng.normal(0.0, 2.0, size=(5, 3))
-    for f in (fi, fo, f0):
-        f[np.abs(f) < 0.05] = 0.1
+@pytest.mark.parametrize("kind,i,fn", term_params(WEIGHTS.__contains__))
+def test_weight_scales_exactly_its_term(kind, i, fn):
+    """Setting a term's weight to 0 takes exactly the term's value and
+    parameter gradient out of loss_backward's, and doubling it doubles that
+    share. A term that reads another term's weight still has a consistent
+    value and gradient, so only this test catches it."""
+    weight = WEIGHTS[fn.__name__[1:]]
+    rng = np.random.default_rng(61)
+    m, frozen = mlp_init((2, 6, 3), seed=8), mlp_init((2, 6, 3), seed=9)
+    id_batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 3, size=5))
+    ood_batch = Batch(rng.standard_normal((6, 2)))
+    spec = LossSpec(kind=kind, **SPEC)
+
+    def total(w):
+        value, grads = losses.loss_backward(
+            m, id_batch, replace(spec, **{weight: w}), ood_batch=ood_batch,
+            frozen=frozen if kind == "dul" else None)
+        return value, grads_flat(grads)
+
+    fi, id_cache = m.forward_cache(id_batch.points)
+    fo, ood_cache = m.forward_cache(ood_batch.points)
+    args = (fi, id_batch.labels, fo, frozen.forward(ood_batch))
+    value, gi, go = call_term(i, fn, spec, *args)
+    grad = (grads_flat(m.backward(id_cache, gi))
+            + grads_flat(m.backward(ood_cache, go)))
+    assert value > 0.0 and np.abs(grad).max() > 0.0
+    assert call_term(i, fn, replace(spec, **{weight: 0.0}), *args)[0] == 0.0
+    (v0, g0), (v1, g1), (v2, g2) = (total(w * getattr(spec, weight))
+                                    for w in (0.0, 1.0, 2.0))
+    assert v1 - v0 == pytest.approx(value, rel=1e-9)
+    assert v2 - v0 == pytest.approx(2.0 * value, rel=1e-9)
+    assert np.allclose(g1 - g0, grad, rtol=1e-9, atol=1e-12)
+    assert np.allclose(g2 - g0, 2.0 * grad, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,i,fn", term_params(lambda n: n not in WEIGHTS))
+def test_unweighted_terms_ignore_the_weights(kind, i, fn):
+    rng = np.random.default_rng(67)
+    fi, fo, f0 = logits(rng, 4), logits(rng, 5), logits(rng, 5)
     y = rng.integers(0, 3, size=4)
-    args = dict(lam=1.5, gamma=2.0, m_out=0.5)
-    value, (gi, go) = losses.dul_loss(fi, y, fo, f0, **args)
-    assert value > 0.0
-    fdi = fd_logit_grad(
-        lambda z: losses.dul_loss(z, y, fo, f0, **args)[0], fi)
-    fdo = fd_logit_grad(
-        lambda z: losses.dul_loss(fi, y, z, f0, **args)[0], fo)
-    assert_close_grads(gi, fdi)
-    assert_close_grads(go, fdo)
+    spec = LossSpec(kind=kind, **SPEC)
+    want = call_term(i, fn, spec, fi, y, fo, f0)
+    for lam, gamma in ((0.0, 0.0), (2.4, 3.0)):
+        got = call_term(i, fn, replace(spec, lam=lam, gamma=gamma), fi, y, fo, f0)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_dul_loss_shape_mismatch():
-    with pytest.raises(ValueError):
-        losses.dul_loss(np.zeros((2, 3)), np.zeros(2, dtype=int),
-                        np.zeros((2, 3)), np.zeros((3, 3)),
-                        lam=1.0, gamma=1.0, m_out=0.5)
+    spec, f = LossSpec("dul"), np.ones((2, 3))
+    for fn in (term("dul_hinge"), term("dul_anchor")):
+        with pytest.raises(ValueError, match="must share a shape"):
+            fn(spec, f, f, np.ones((3, 3)))
+        with pytest.raises(ValueError, match="frozen pretrained model"):
+            fn(spec, f, f, None)
 
 
 def test_loss_backward_requires_labels_and_batches():
     m = mlp_init((2, 4, 3), seed=1)
     x = np.zeros((2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ID batch must be labeled"):
         losses.loss_backward(m, Batch(x), LossSpec(kind="ce"))
     labeled = Batch(x, labels=np.array([0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'oe' needs an outlier batch"):
         losses.loss_backward(m, labeled, LossSpec(kind="oe"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dul needs the frozen pretrained model"):
         losses.loss_backward(m, labeled, LossSpec(kind="dul"),
                              ood_batch=Batch(x))
+    with pytest.raises(ValueError, match="must share a shape"):
+        losses.loss_backward(m, labeled, LossSpec(kind="dul"), ood_batch=Batch(x),
+                             frozen=mlp_init((2, 4, 4), seed=2))
+    with pytest.raises(ValueError, match="target_alpha0 must exceed K"):
+        losses.loss_backward(m, labeled, LossSpec(kind="dpn", target_alpha0=3.0),
+                             ood_batch=Batch(x))
+
+
+@pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+def test_loss_backward_rejects_labels_out_of_range(kind):
+    m = mlp_init((2, 4, 3), seed=1)
+    x = np.zeros((2, 2))
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match="label out of range"):
+            losses.loss_backward(m, Batch(x, labels=np.array([0, bad])),
+                                 LossSpec(kind=kind), ood_batch=Batch(x), frozen=m)
 
 
 @pytest.mark.parametrize("kind", ["ce", "oe", "energy_margin", "dpn", "dul"])
@@ -236,10 +301,11 @@ def test_loss_backward_matches_finite_differences(kind):
     assert_close_grads(flat, fd, tol=1e-4)
 
 
-# Per-row references: the Dirichlet row kernels run on one-row slices, one
-# distribution per logit row, accumulated in a Python loop.
+# Per-row references of the Dirichlet terms: the row kernels run on
+# one-row slices, one distribution per logit row, accumulated in a Python
+# loop.
 
-def _row_ce(f, y):
+def _row_dirichlet_ce(f, y):
     n, k = f.shape
     value, grad = 0.0, np.zeros_like(f)
     for i in range(n):
@@ -252,50 +318,59 @@ def _row_ce(f, y):
     return value / n, grad / n
 
 
-def _row_dpn(fi, y, fo, target_alpha0, smoothing):
+def _row_dpn_target(fi, y, target_alpha0, smoothing):
     n, k = fi.shape
-    flat = np.ones((1, k))
-    id_value, ood_value = 0.0, 0.0
-    gi, go = np.zeros_like(fi), np.zeros_like(fo)
+    value, gi = 0.0, np.zeros_like(fi)
     for i in range(n):
         pred = dmath.alpha_rows(fi[i:i + 1])
         t = np.full((1, k), smoothing / k)
         t[0, y[i]] += 1.0 - smoothing
         target = target_alpha0 * t
-        id_value += dmath.kl_dirichlet_rows(target, pred)[0]
+        value += dmath.kl_dirichlet_rows(target, pred)[0]
         gi[i] = (dmath.kl_dirichlet_grad_second_rows(target, pred)[0]
                  * dmath.alpha_jacobian_rows(fi[i:i + 1])[0])
-    for j in range(fo.shape[0]):
+    return value / n, gi / n
+
+
+def _row_dpn_flat(fo):
+    m, k = fo.shape
+    flat = np.ones((1, k))
+    value, go = 0.0, np.zeros_like(fo)
+    for j in range(m):
         pred = dmath.alpha_rows(fo[j:j + 1])
-        ood_value += dmath.kl_dirichlet_rows(pred, flat)[0]
+        value += dmath.kl_dirichlet_rows(pred, flat)[0]
         go[j] = (dmath.kl_dirichlet_grad_first_rows(pred, flat)[0]
                  * dmath.alpha_jacobian_rows(fo[j:j + 1])[0])
-    m = fo.shape[0]
-    return id_value / n + ood_value / m, (gi / n, go / m)
+    return value / m, go / m
 
 
-def _row_dul(fi, y, fo, f0, lam, gamma, m_out):
-    value, gi = _row_ce(fi, y)
+def _row_dul_hinge(fo, f0, lam, m_out):
     m = fo.shape[0]
-    go = np.zeros_like(fo)
-    det_value, kl_value = 0.0, 0.0
+    value, go = 0.0, np.zeros_like(fo)
+    for j in range(m):
+        a = dmath.alpha_rows(fo[j:j + 1])
+        hinge = max(0.0, (dmath.diff_entropy_rows(dmath.alpha_rows(f0[j:j + 1]))[0]
+                          + m_out) - dmath.diff_entropy_rows(a)[0])
+        value += hinge
+        if hinge > 0:
+            galpha = -dmath.diff_entropy_grad_rows(a)[0]
+            go[j] = lam * (galpha * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]) / m
+    return lam * value / m, go
+
+
+def _row_dul_anchor(fo, f0, gamma):
+    m = fo.shape[0]
+    value, go = 0.0, np.zeros_like(fo)
     for j in range(m):
         a = dmath.alpha_rows(fo[j:j + 1])
         a0 = dmath.alpha_rows(f0[j:j + 1])
-        jac = dmath.alpha_jacobian_rows(fo[j:j + 1])[0]
-        hinge = max(0.0, (dmath.diff_entropy_rows(a0)[0] + m_out)
-                    - dmath.diff_entropy_rows(a)[0])
-        det_value += hinge
-        if hinge > 0:
-            galpha = -dmath.diff_entropy_grad_rows(a)[0]
-            go[j] += lam * (galpha * jac) / m
         p = dmath.SimplexVector(a[0] / a.sum())
         p0 = dmath.SimplexVector(a0[0] / a0.sum())
-        kl_value += dmath.kl_categorical(p, p0)
+        value += dmath.kl_categorical(p, p0)
         lr = np.log(p.p) - np.log(p0.p)
         galpha = (lr - float(np.sum(p.p * lr))) / a.sum()
-        go[j] += gamma * (galpha * jac) / m
-    return value + lam * det_value / m + gamma * kl_value / m, (gi, go)
+        go[j] = gamma * (galpha * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]) / m
+    return gamma * value / m, go
 
 
 def _random_batches(seed, count=25):
@@ -315,19 +390,19 @@ def _same_value(got, want):
 
 
 def test_dirichlet_losses_match_per_row_reference():
+    spec = LossSpec("dul", lam=3.0, gamma=30.0, m_out=0.4, target_alpha0=15.0,
+                    smoothing=0.01)
     for fi, y, fo, f0 in _random_batches(53):
-        value, grad = losses.ce_loss(fi, y, dirichlet_mode=True)
-        want_value, want_grad = _row_ce(fi, y)
-        assert np.array_equal(grad, want_grad)
-        _same_value(value, want_value)
-
-        value, (gi, go) = losses.dpn_loss(fi, y, fo, 15.0, 0.01)
-        want_value, (want_gi, want_go) = _row_dpn(fi, y, fo, 15.0, 0.01)
-        assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
-        _same_value(value, want_value)
-
-        args = (fi, y, fo, f0, 3.0, 30.0, 0.4)
-        value, (gi, go) = losses.dul_loss(*args)
-        want_value, (want_gi, want_go) = _row_dul(*args)
-        assert np.array_equal(gi, want_gi) and np.array_equal(go, want_go)
-        _same_value(value, want_value)
+        for (value, grad), (want_value, want_grad) in [
+                (term("dirichlet_ce")(spec, fi, y), _row_dirichlet_ce(fi, y)),
+                (term("dpn_target")(spec, fi, y),
+                 _row_dpn_target(fi, y, spec.target_alpha0, spec.smoothing))]:
+            assert np.array_equal(grad, want_grad)
+            _same_value(value, want_value)
+        for name, want_value, want_go in [
+                ("dpn_flat", *_row_dpn_flat(fo)),
+                ("dul_hinge", *_row_dul_hinge(fo, f0, spec.lam, spec.m_out)),
+                ("dul_anchor", *_row_dul_anchor(fo, f0, spec.gamma))]:
+            value, gi, go = term(name)(spec, fi, fo, f0)
+            assert gi is None and np.array_equal(go, want_go)
+            _same_value(value, want_value)
