@@ -69,7 +69,7 @@ class TrainConfig:
     gamma: float = _key("loss", LossSpec.gamma)
     m_in: float = _key("loss", LossSpec.m_in)
     m_out: float = _key("loss", LossSpec.m_out)
-    dul_margin: float = _key("loss", 0.4)
+    dul_margin: float = _key("loss", LossSpec.dul_margin)
     target_alpha0: float = _key("loss", LossSpec.target_alpha0)
     smoothing: float = _key("loss", LossSpec.smoothing)
     k: int = _key("data", 3)
@@ -127,15 +127,17 @@ class TrainConfig:
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         check_sem_separation(self.k, self.sigma)
-        # the loss rules live in LossSpec; every method's spec shares these
-        LossSpec(kind="dul", lam=self.lam, gamma=self.gamma,
-                 smoothing=self.smoothing)
+        self.loss_spec("ce")  # LossSpec checks the [loss] keys, whatever the kind
         # dilemma_table and the full verify run dpn whatever method says
         if self.target_alpha0 <= self.k:
             raise ValueError("target_alpha0 must exceed k")
 
     def with_(self, **kwargs) -> "TrainConfig":
         return replace(self, **kwargs)
+
+    def loss_spec(self, kind: str) -> LossSpec:
+        """The objective kind with this config's [loss] keys, by LossSpec's names."""
+        return LossSpec(kind, **{f.name: getattr(self, f.name) for f in fields(LossSpec)[1:]})
 
 
 def _parse(default, raw: str):

@@ -10,7 +10,7 @@ them in table order and back-propagates the sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,14 +23,19 @@ class LossSpec:
     kind: str
     lam: float = 3.0
     gamma: float = 30.0
+    # energy_margin's margins are energies; dul_hinge's is nats of entropy
     m_in: float = -12.0
     m_out: float = -4.0
+    dul_margin: float = 0.4
     target_alpha0: float = 15.0
     smoothing: float = 0.01
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}")
+        for f in fields(self)[1:]:
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("lam and gamma must be nonnegative")
         # each target concentration target_alpha0 * smoothing / K must be > 0
@@ -167,10 +172,10 @@ def _dul_alphas(fo, f0):
 
 
 def _dul_hinge(spec, fi, fo, f0):
-    """lam x a linear hinge that raises the outliers' differential entropy
-    above the frozen model's by the margin -m_out."""
+    """lam x a linear hinge that lifts each outlier's differential entropy
+    to at least the frozen model's plus dul_margin."""
     a, a_frozen, jac = _dul_alphas(fo, f0)
-    hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + spec.m_out)
+    hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + spec.dul_margin)
                        - dmath.diff_entropy_rows(a))
     slope = np.where(hinge > 0, -1.0, 0.0)
     galpha = slope[:, None] * dmath.diff_entropy_grad_rows(a)

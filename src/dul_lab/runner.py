@@ -55,13 +55,8 @@ def make_eval_datasets(cfg: TrainConfig):
 
 
 def _loss_spec(cfg: TrainConfig) -> LossSpec:
-    kind = {"oe": "oe", "energy": "energy_margin", "dpn": "dpn", "dul": "dul"}[cfg.method]
-    # the energy hinge and the dul entropy hinge use margins on different
-    # scales, so the dul margin has its own config knob
-    m_out = cfg.dul_margin if kind == "dul" else cfg.m_out
-    return LossSpec(kind=kind, lam=cfg.lam, gamma=cfg.gamma, m_in=cfg.m_in,
-                    m_out=m_out, target_alpha0=cfg.target_alpha0,
-                    smoothing=cfg.smoothing)
+    return cfg.loss_spec(
+        {"oe": "oe", "energy": "energy_margin", "dpn": "dpn", "dul": "dul"}[cfg.method])
 
 
 def _train_loop(model: Mlp, cfg: TrainConfig, id_data: Batch,

@@ -126,7 +126,7 @@ def test_criterion_04_gradient_exactness():
         LossSpec(kind="oe", lam=1.2),
         LossSpec(kind="energy_margin", lam=1.0, m_in=-3.0, m_out=1.5),
         LossSpec(kind="dpn", target_alpha0=15.0, smoothing=0.01),
-        LossSpec(kind="dul", lam=1.5, gamma=2.0, m_out=0.5),
+        LossSpec(kind="dul", lam=1.5, gamma=2.0, dul_margin=0.5),
     ]
     for trial in range(20):
         m = mlp_init((2, 5, 3), seed=1000 + trial)

@@ -1,7 +1,7 @@
 """Unit tests for the loss terms and objectives: values, exact gradients,
 weights, validation."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,14 +12,15 @@ from scipy import special
 
 from dul_lab import dirichlet as dmath
 from dul_lab import losses
+from dul_lab.data import make_semantic_ood
 from dul_lab.losses import LossSpec
 from dul_lab.nn import Batch, grads_flat, mlp_init
 
 # each weighted term and the LossSpec field that weights it
 WEIGHTS = {"oe": "lam", "energy_margin": "lam", "dul_hinge": "lam",
            "dul_anchor": "gamma"}
-SPEC = dict(lam=1.2, gamma=1.5, m_in=-3.0, m_out=0.5, target_alpha0=15.0,
-            smoothing=0.01)
+SPEC = dict(lam=1.2, gamma=1.5, m_in=-3.0, m_out=0.5, dul_margin=0.3,
+            target_alpha0=15.0, smoothing=0.01)
 
 
 def fd_logit_grad(fn, f, h=1e-6):
@@ -113,6 +114,15 @@ def test_loss_spec_validation():
         with pytest.raises(ValueError):
             LossSpec(kind="dpn", smoothing=smoothing)
     LossSpec(kind="dul", lam=0.0, gamma=0.0, smoothing=1e-12)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(LossSpec)[1:]])
+def test_loss_spec_rejects_non_finite_settings(name):
+    """A NaN or infinite setting made loss_backward return nan or inf (and
+    NaN gradients) without a word."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LossSpec(kind="dul", **{name: bad})
 
 
 def test_ce_loss_value_and_grad():
@@ -232,6 +242,22 @@ def test_unweighted_terms_ignore_the_weights(kind, i, fn):
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
+def test_default_dul_hinge_lifts_entropy_by_dul_margin():
+    """LossSpec("dul") at its defaults read the energy margin m_out (-4) as
+    its entropy margin, so its hinge was 0 on two models' outlier logits.
+    At the frozen model each row's hinge is exactly the margin, and the
+    energy margins do not move it."""
+    arch = (2, 64, 64, 3)
+    x = make_semantic_ood("train", 256, seed=1, k=3, sigma=0.75)
+    fo, f0 = mlp_init(arch, seed=1).forward(x), mlp_init(arch, seed=2).forward(x)
+    spec = LossSpec("dul")
+    assert term("dul_hinge")(spec, None, fo, f0)[0] > 0.0
+    for m_out in (-4.0, 0.4, 7.0):
+        value = term("dul_hinge")(replace(spec, m_in=-m_out, m_out=m_out),
+                                  None, f0, f0)[0]
+        assert value == pytest.approx(spec.lam * spec.dul_margin, rel=1e-12)
+
+
 def test_dul_loss_shape_mismatch():
     spec, f = LossSpec("dul"), np.ones((2, 3))
     for fn in (term("dul_hinge"), term("dul_anchor")):
@@ -277,8 +303,7 @@ def test_loss_backward_matches_finite_differences(kind):
     frozen = mlp_init((2, 6, 3), seed=9)
     id_batch = Batch(rng.standard_normal((5, 2)), rng.integers(0, 3, size=5))
     ood_batch = None if kind == "ce" else Batch(rng.standard_normal((6, 2)))
-    spec = LossSpec(kind=kind, lam=1.2, gamma=1.5, m_in=-3.0, m_out=0.5,
-                    target_alpha0=15.0, smoothing=0.01)
+    spec = LossSpec(kind=kind, **SPEC)
     value, grads = losses.loss_backward(
         m, id_batch, spec, ood_batch=ood_batch,
         frozen=frozen if kind == "dul" else None)
@@ -344,13 +369,13 @@ def _row_dpn_flat(fo):
     return value / m, go / m
 
 
-def _row_dul_hinge(fo, f0, lam, m_out):
+def _row_dul_hinge(fo, f0, lam, margin):
     m = fo.shape[0]
     value, go = 0.0, np.zeros_like(fo)
     for j in range(m):
         a = dmath.alpha_rows(fo[j:j + 1])
         hinge = max(0.0, (dmath.diff_entropy_rows(dmath.alpha_rows(f0[j:j + 1]))[0]
-                          + m_out) - dmath.diff_entropy_rows(a)[0])
+                          + margin) - dmath.diff_entropy_rows(a)[0])
         value += hinge
         if hinge > 0:
             galpha = -dmath.diff_entropy_grad_rows(a)[0]
@@ -390,7 +415,7 @@ def _same_value(got, want):
 
 
 def test_dirichlet_losses_match_per_row_reference():
-    spec = LossSpec("dul", lam=3.0, gamma=30.0, m_out=0.4, target_alpha0=15.0,
+    spec = LossSpec("dul", lam=3.0, gamma=30.0, dul_margin=0.4, target_alpha0=15.0,
                     smoothing=0.01)
     for fi, y, fo, f0 in _random_batches(53):
         for (value, grad), (want_value, want_grad) in [
@@ -401,7 +426,7 @@ def test_dirichlet_losses_match_per_row_reference():
             _same_value(value, want_value)
         for name, want_value, want_go in [
                 ("dpn_flat", *_row_dpn_flat(fo)),
-                ("dul_hinge", *_row_dul_hinge(fo, f0, spec.lam, spec.m_out)),
+                ("dul_hinge", *_row_dul_hinge(fo, f0, spec.lam, spec.dul_margin)),
                 ("dul_anchor", *_row_dul_anchor(fo, f0, spec.gamma))]:
             value, gi, go = term(name)(spec, fi, fo, f0)
             assert gi is None and np.array_equal(go, want_go)

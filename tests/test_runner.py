@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dul_lab import cli, config, fileio, metrics, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
+from dul_lab.losses import LossSpec
 from dul_lab.metrics import EvalReport
 from dul_lab.nn import Batch, Mlp, load_checkpoint, mlp_init, save_checkpoint
 
@@ -162,6 +163,26 @@ def test_any_config_that_constructs_pretrains(k, hidden, n_per_class,
         assume(False)
     model = runner.pretrain(cfg)
     assert model.out_dim == k
+
+
+def test_loss_keys_are_loss_spec_fields():
+    """The [loss] keys and LossSpec's settings are one list, with one set of
+    defaults, so a setting added to one side only fails here."""
+    loss_keys = [(f.name, f.default) for f in fields(TrainConfig)
+                 if f.metadata["section"] == "loss"]
+    assert loss_keys == [(f.name, f.default) for f in fields(LossSpec)[1:]]
+
+
+@pytest.mark.parametrize("method,kind", [("oe", "oe"), ("energy", "energy_margin"),
+                                         ("dpn", "dpn"), ("dul", "dul")])
+def test_default_config_builds_the_default_loss_spec(method, kind):
+    """The dul spec once took its margin from dul_margin into m_out, so it
+    differed from LossSpec("dul"), whose m_out is the energy margin."""
+    assert runner._loss_spec(TrainConfig(method=method)) == LossSpec(kind)
+    # and each key, set away from its default, reaches the field of its name
+    settings = {f.name: NON_DEFAULT[f.name] for f in fields(LossSpec)[1:]}
+    assert (runner._loss_spec(TrainConfig(method=method, **settings))
+            == LossSpec(kind, **settings))
 
 
 def test_every_config_key_has_a_reader():
