@@ -1,12 +1,14 @@
 """Minimal dense feed-forward classifier with hand-derived gradients.
 
-Everything is float64. Models are treated as immutable: sgd_step returns a
-new model. Checkpoints are a flat text format using hex floats so that a
-write/read round-trip is bit-exact.
+Everything is float64. A model is immutable: its parameters are one read-only
+vector, its layers are views into it, and sgd_step returns a new model.
+Checkpoints are a flat text format using hex floats so that a write/read
+round-trip is bit-exact.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,24 +49,33 @@ class Batch:
 
 
 class Mlp:
-    """Dense network: affine layers with tanh between them."""
+    """Dense network: affine layers with tanh between them. Its parameters
+    are one vector (w0, b0, w1, b1, ...), and `layers` holds views into it."""
 
     def __init__(self, layers):
-        self.layers = []
-        prev_out = None
+        parts = []  # w0, b0, w1, b1, ...
         for w, b in layers:
             w = np.asarray(w, dtype=float)
             b = np.asarray(b, dtype=float)
             if w.ndim != 2 or b.shape != (w.shape[0],):
                 raise ValueError("each layer needs an out x in matrix and out bias")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
-            if prev_out is not None and w.shape[1] != prev_out:
+            if parts and w.shape[1] != parts[-2].shape[0]:
                 raise ValueError("consecutive layer dimensions must chain")
-            prev_out = w.shape[0]
-            self.layers.append((w, b))
-        if not self.layers:
+            parts += (w, b)
+        if not parts:
             raise ValueError("need at least one layer")
+        ends = np.cumsum([0] + [p.size for p in parts]).tolist()
+        self._views = [(slice(i, j), p.shape) for i, j, p in zip(ends, ends[1:], parts)]
+        self._set(np.concatenate([p.ravel() for p in parts]))  # copies the caller's arrays
+
+    def _set(self, theta: np.ndarray) -> "Mlp":  # theta: an array no one else holds
+        if not np.isfinite(theta).all():
+            raise ValueError("parameters must be finite")
+        theta.setflags(write=False)
+        self._theta = theta
+        views = [theta[s].reshape(shape) for s, shape in self._views]
+        self.layers = tuple(zip(views[::2], views[1::2]))
+        return self
 
     @property
     def in_dim(self) -> int:
@@ -81,9 +92,9 @@ class Mlp:
 
     def forward_cache(self, x: np.ndarray):
         x = np.asarray(x, dtype=float)
-        if x.shape[1] != self.in_dim:
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(
-                f"input width {x.shape[1]} != first layer width {self.in_dim}"
+                f"input of shape {x.shape} is not n x {self.in_dim} (the first layer width)"
             )
         # the cache holds each layer's input, then the logits
         cache = [x]
@@ -93,7 +104,7 @@ class Mlp:
         return cache[-1], cache
 
     def backward(self, cache, dlogits: np.ndarray):
-        """Parameter gradients given d loss / d logits. Returns a ParamGrads list."""
+        """Parameter gradients given d loss / d logits: one (dW, db) pair per layer."""
         grads = [None] * len(self.layers)
         delta = np.asarray(dlogits, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
@@ -103,30 +114,19 @@ class Mlp:
                 delta = (delta @ self.layers[i][0]) * (1.0 - a * a)
         return grads
 
-    # parameter-vector helpers, used by gradient checks and pool perturbation
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
+        return self._theta
 
     def set_flat(self, theta: np.ndarray) -> "Mlp":
-        theta = np.asarray(theta, dtype=float)
-        layers = []
-        i = 0
-        for w, b in self.layers:
-            nw, nb = w.size, b.size
-            layers.append((theta[i : i + nw].reshape(w.shape), theta[i + nw : i + nw + nb]))
-            i += nw + nb
-        if i != theta.size:
-            raise ValueError("parameter vector has wrong length")
-        return Mlp(layers)
+        theta = np.array(theta, dtype=float)  # a copy: the caller keeps theirs
+        if theta.shape != self._theta.shape:
+            raise ValueError(f"parameter vector shape {theta.shape} != {self._theta.shape}")
+        return copy.copy(self)._set(theta)
 
 
-# no lab caller; the benchmark under perfbench/ calls it
 def grads_flat(grads) -> np.ndarray:
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-
-
-def grads_zeros_like(m: Mlp):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in m.layers]
+    """One (dW, db) pair per layer, as one vector in the parameter order."""
+    return np.concatenate([a for gw, gb in grads for a in (gw.ravel(), gb)])
 
 
 def mlp_init(layer_sizes, activation: str = ACTIVATION, seed: int = 0) -> Mlp:
@@ -148,21 +148,19 @@ def mlp_init(layer_sizes, activation: str = ACTIVATION, seed: int = 0) -> Mlp:
 
 
 def sgd_step(m: Mlp, grads, velocity, lr: float, momentum: float):
-    """v <- momentum v + g; theta <- theta - lr v. Returns (model, velocity)."""
+    """v <- momentum v + g; theta <- theta - lr v. Returns (model, v), with v
+    one vector; pass None as the velocity of the first step."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must be in [0, 1)")
-    if velocity is None:
-        velocity = grads_zeros_like(m)
-    new_v = []
-    new_layers = []
-    for (w, b), (gw, gb), (vw, vb) in zip(m.layers, grads, velocity):
-        vw = momentum * vw + gw
-        vb = momentum * vb + gb
-        new_v.append((vw, vb))
-        new_layers.append((w - lr * vw, b - lr * vb))
-    return Mlp(new_layers), new_v
+    shapes = [(gw.shape, gb.shape) for gw, gb in grads]
+    # per layer: a size-1 gradient would broadcast, a transposed one ravel
+    if shapes != [(w.shape, b.shape) for w, b in m.layers]:
+        raise ValueError(f"gradient has {sum(gw.size + gb.size for gw, gb in grads)} entries "
+                         f"in shapes {shapes}, the model {m.get_flat().size} parameters")
+    velocity = (0.0 if velocity is None else momentum * velocity) + grads_flat(grads)
+    return m.set_flat(m.get_flat() - lr * velocity), velocity
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for the dense network and its hand-derived backward pass."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ def test_forward_shapes_and_width_check():
     assert logits.shape == (7, 3)
     with pytest.raises(ValueError):
         m.forward(Batch(np.zeros((7, 3))))
+    # one point as a vector, or a stack of matrices, names the shape it got
+    for x in (np.zeros(2), np.zeros((2, 7, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"input of shape {x.shape}")):
+            m.forward_cache(x)
 
 
 def test_forward_linear_one_layer():
@@ -71,6 +77,31 @@ def test_backward_matches_finite_differences():
     assert np.max(np.abs(grads - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
+def test_parameters_are_one_read_only_vector():
+    m = small_model(seed=5)
+    theta = m.get_flat()
+    assert theta.size == sum(w.size + b.size for w, b in m.layers)
+    assert all(w.base is theta and b.base is theta for w, b in m.layers)
+    for view in [theta] + [a for layer in m.layers for a in layer]:
+        with pytest.raises(ValueError, match="read-only"):
+            view.flat[0] = 99.0
+    with pytest.raises(TypeError):
+        m.layers[0] = m.layers[1]
+    assert np.array_equal(m.get_flat(), small_model(seed=5).get_flat())
+
+
+def test_model_never_aliases_caller_arrays():
+    w, b = np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0])
+    m = Mlp([(w, b)])
+    w[0, 0], b[0] = 7.0, 7.0
+    assert m.layers[0][0][0, 0] == 1.0 and m.layers[0][1][0] == 0.5
+    theta = m.get_flat().copy()
+    m2 = m.set_flat(theta)
+    theta[:] = 7.0
+    assert np.array_equal(m2.get_flat(), m.get_flat())
+    assert not m2.get_flat().flags.writeable
+
+
 def test_flat_round_trip():
     m = small_model(seed=5)
     theta = m.get_flat()
@@ -80,6 +111,8 @@ def test_flat_round_trip():
         assert np.array_equal(b1, b2)
     with pytest.raises(ValueError):
         m.set_flat(theta[:-1])
+    with pytest.raises(ValueError, match="finite"):
+        m.set_flat(np.where(np.arange(theta.size) == 3, np.nan, theta))
 
 
 def test_mlp_init_deterministic():
@@ -92,6 +125,24 @@ def test_mlp_init_deterministic():
         nn.mlp_init((2,))
     with pytest.raises(ValueError, match="activation must be 'tanh'"):
         nn.mlp_init((2, 8, 3), "relu", seed=4)
+
+
+def test_mlp_init_sizes_and_scale():
+    # the smallest valid nets: one layer, and widths of 1
+    assert len(nn.mlp_init((2, 3)).layers) == 1
+    assert (nn.mlp_init((1, 1, 1)).in_dim, nn.mlp_init((1, 1, 1)).out_dim) == (1, 1)
+    with pytest.raises(ValueError):
+        nn.mlp_init((2, 0, 3))
+    # weights ~ N(0, 1/fan_in): over 20,000 draws, fan_in * var is within 5 sd
+    # (0.01) of 1 and the mean within 5 sd (0.00035) of 0; biases start at 0
+    w, b = nn.mlp_init((400, 50, 3), seed=1).layers[0]
+    assert abs(400 * np.var(w) - 1.0) < 0.05 and abs(np.mean(w)) < 0.00175
+    assert not b.any()
+
+
+def bits(a):
+    """The float64 bit patterns of `a`, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 def test_sgd_step_momentum_update():
@@ -108,6 +159,39 @@ def test_sgd_step_momentum_update():
     with pytest.raises(ValueError):
         nn.sgd_step(m, grads, None, lr=0.1, momentum=1.0)
 
+    # several steps from velocity None, bit for bit against the rule written
+    # out per layer; bias gradients are not 1.0 and one of them is -0.0
+    rng = np.random.default_rng(8)
+    lr = 0.1
+    for momentum in (0.0, 0.5, 0.9):
+        model, v = small_model(seed=2), None
+        layers = [(w.copy(), b.copy()) for w, b in model.layers]
+        vel = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
+        for _ in range(4):
+            grads = [(rng.standard_normal(w.shape), rng.standard_normal(b.shape))
+                     for w, b in layers]
+            grads[-1][1][0] = -0.0
+            model, v = nn.sgd_step(model, grads, v, lr, momentum)
+            vel = [(momentum * vw + gw, momentum * vb + gb)
+                   for (vw, vb), (gw, gb) in zip(vel, grads)]
+            layers = [(w - lr * vw, b - lr * vb)
+                      for (w, b), (vw, vb) in zip(layers, vel)]
+            assert np.array_equal(bits(v), bits(nn.grads_flat(vel)))
+            assert np.array_equal(bits(model.get_flat()), bits(nn.grads_flat(layers)))
+        assert len(model.layers) == len(layers)
+
+
+def test_sgd_step_rejects_gradient_of_wrong_shape():
+    m = small_model()  # 2-5-3: 15 + 18 = 33 parameters
+    grads = [(np.ones_like(w), np.ones_like(b)) for w, b in m.layers]
+    # one layer short, one entry (it would broadcast), and a transposed
+    # first weight of the right length
+    for bad, size in ((grads[:1], 15), ([(np.ones((1, 1)), np.ones(0))], 1),
+                      ([(np.ones((2, 5)), grads[0][1]), grads[1]], 33)):
+        for velocity in (None, np.zeros(33)):
+            with pytest.raises(ValueError, match=rf"gradient has {size} entries in .*the model 33"):
+                nn.sgd_step(m, bad, velocity, lr=0.1, momentum=0.5)
+
 
 def test_cosine_lr_endpoints():
     assert nn.cosine_lr(0, 10, 0.2) == pytest.approx(0.2)
@@ -115,19 +199,20 @@ def test_cosine_lr_endpoints():
     assert nn.cosine_lr(5, 10, 0.2) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         nn.cosine_lr(11, 10, 0.2)
-    with pytest.raises(ValueError):
-        nn.cosine_lr(1, 10, -0.1)
+    for lr0 in (-0.1, 0.0):
+        with pytest.raises(ValueError):
+            nn.cosine_lr(1, 10, lr0)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    m = nn.mlp_init((2, 16, 3), seed=9)
     path = tmp_path / "model.ckpt"
-    nn.save_checkpoint(m, path)
-    assert path.read_text(encoding="utf-8").splitlines()[:2] == ["dul-mlp-v1", "tanh"]
-    m2 = nn.load_checkpoint(path)
-    for (w1, b1), (w2, b2) in zip(m.layers, m2.layers):
-        assert np.array_equal(w1, w2)
-        assert np.array_equal(b1, b2)
+    for sizes in ((2, 16, 3), (1, 1)):
+        m = nn.mlp_init(sizes, seed=9)
+        nn.save_checkpoint(m, path)
+        assert path.read_text(encoding="utf-8").splitlines()[:2] == ["dul-mlp-v1", "tanh"]
+        m2 = nn.load_checkpoint(path)
+        assert len(m2.layers) == len(m.layers)
+        assert np.array_equal(bits(m.get_flat()), bits(m2.get_flat()))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
