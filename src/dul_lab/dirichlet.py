@@ -15,6 +15,10 @@ which call them 10,000 times: each value object computes them once, at
 construction from a read-only copy, with Python ``+=`` sums in index order:
 numpy's own order for K < 8, so each value equals the numpy form bit for
 bit there; from K = 8 numpy's pairwise sum reorders the additions.
+
+scipy.special, which supplies gammaln, digamma and polygamma, is imported
+the first time one of them is called, so the softmax methods (ce, oe and
+energy), which call none, never import it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
+
+
+class _LazySpecial:
+    """Stands in for scipy.special until the first attribute read, which
+    imports it and rebinds the module name ``sp`` to it."""
+
+    def __getattr__(self, name):
+        global sp
+        from scipy import special as sp
+        return getattr(sp, name)
+
+
+sp = _LazySpecial()
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,21 +50,40 @@ def logsumexp(f: np.ndarray, keepdims: bool = False) -> np.ndarray:
     the library logsumexp the tests compare against, so the result is
     bit-identical to it, rows holding inf or nan included.
     """
-    mx = f.max(axis=1, keepdims=True)
+    out = _logsumexp(f, f.max(axis=1, keepdims=True))
+    return out if keepdims else out[:, 0]
+
+
+def _logsumexp(f, mx, e=None):
+    """logsumexp of each row of f as an (n, 1) column, given the row maxima
+    mx and, if already taken, e = exp(f - mx)."""
     top = f == mx
+    if np.isfinite(mx).all() and np.count_nonzero(top) == len(f):
+        # one finite max per row: the tie count m is 1, so the general
+        # path's s / m and + log(m) below change no bit
+        s = np.where(top, 0.0, np.exp(f - mx) if e is None else e)
+        return np.log1p(s.sum(axis=1, keepdims=True)) + mx
     m = top.sum(axis=1, keepdims=True)
     # a row of infs gives inf - inf, a row with a nan m = 0: both end in
     # the inf or nan the row's sum of exponentials has
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.where(top, 0.0, np.exp(f - mx)).sum(axis=1, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + mx
-    return out if keepdims else out[:, 0]
+        return np.log1p(s / m) + np.log(m) + mx
 
 
 def softmax(f: np.ndarray) -> np.ndarray:
     """Softmax of each row of a float (n, K) array, shifted by the row max."""
     e = np.exp(f - f.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _logsumexp_softmax(f):
+    """logsumexp(f) and softmax(f) from one exp(f - row max)."""
+    mx = f.max(axis=1, keepdims=True)
+    e = np.exp(f - mx)
+    lse = _logsumexp(f, mx, e)[:, 0]
+    e /= e.sum(axis=1, keepdims=True)
+    return lse, e
 
 
 def _labeled(logits, labels):
@@ -79,11 +98,13 @@ def ce_loss(logits, labels):
     """Mean -ln softmax(f)_y and its gradient."""
     f, y = _labeled(logits, labels)
     n = f.shape[0]
+    rows = np.arange(n)
     logp = f - logsumexp(f, keepdims=True)
-    value = float(-logp[np.arange(n), y].mean())
-    grad = np.exp(logp)
-    grad[np.arange(n), y] -= 1.0
-    return value, grad / n
+    value = float(-logp[rows, y].mean())
+    grad = np.exp(logp, out=logp)
+    grad[rows, y] -= 1.0
+    grad /= n
+    return value, grad
 
 
 def oe_per_sample(logits) -> np.ndarray:
@@ -137,18 +158,26 @@ def _dpn_target(spec, f, y):
 def _oe(spec, fi, fo, f0):
     """lam x mean uniform cross-entropy, least (ln K) at a uniform softmax."""
     n, k = fo.shape
-    value = spec.lam * float(oe_per_sample(fo).mean())
-    return value, None, spec.lam * ((softmax(fo) - 1.0 / k) / n)
+    lse, go = _logsumexp_softmax(fo)
+    value = spec.lam * float((lse - fo.mean(axis=1)).mean())  # oe_per_sample's mean
+    go -= 1.0 / k
+    go /= n
+    go *= spec.lam
+    return value, None, go
 
 
 def _energy_margin(spec, fi, fo, f0):
     """lam x squared hinges on energies: ID pushed below m_in, outliers
     above m_out. dE/df = -softmax(f)."""
-    hi = np.maximum(energy_scores(fi) - spec.m_in, 0.0)
-    ho = np.maximum(spec.m_out - energy_scores(fo), 0.0)
+    (lse_i, gi), (lse_o, go) = _logsumexp_softmax(fi), _logsumexp_softmax(fo)
+    hi = np.maximum(-lse_i - spec.m_in, 0.0)  # energy = -logsumexp
+    ho = np.maximum(spec.m_out + lse_o, 0.0)  # m_out - energy
     value = spec.lam * float((hi**2).mean() + (ho**2).mean())
-    gi = spec.lam * ((2.0 * hi / fi.shape[0])[:, None] * (-softmax(fi)))
-    go = spec.lam * ((2.0 * ho / fo.shape[0])[:, None] * softmax(fo))
+    np.negative(gi, out=gi)
+    gi *= (2.0 * hi / fi.shape[0])[:, None]
+    gi *= spec.lam
+    go *= (2.0 * ho / fo.shape[0])[:, None]
+    go *= spec.lam
     return value, gi, go
 
 

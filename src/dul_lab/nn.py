@@ -2,13 +2,15 @@
 
 Everything is float64. A model is immutable: its parameters are one read-only
 vector, its layers are views into it, and sgd_step returns a new model.
+forward_cache, backward and sgd_step write only arrays they allocate (and the
+velocity vector), each with the operations of the plain formula in its order,
+so every result is bit-identical to that formula.
 Checkpoints are a flat text format using hex floats so that a write/read
 round-trip is bit-exact.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +68,14 @@ class Mlp:
             raise ValueError("need at least one layer")
         ends = np.cumsum([0] + [p.size for p in parts]).tolist()
         self._views = [(slice(i, j), p.shape) for i, j, p in zip(ends, ends[1:], parts)]
+        self._shapes = [(w.shape, b.shape) for w, b in zip(parts[::2], parts[1::2])]
         self._set(np.concatenate([p.ravel() for p in parts]))  # copies the caller's arrays
+
+    def _with(self, theta: np.ndarray) -> "Mlp":
+        """A model of this one's shape over theta, an array no one else holds."""
+        m = Mlp.__new__(Mlp)
+        m._views, m._shapes = self._views, self._shapes
+        return m._set(theta)
 
     def _set(self, theta: np.ndarray) -> "Mlp":  # theta: an array no one else holds
         if not np.isfinite(theta).all():
@@ -98,10 +107,14 @@ class Mlp:
             )
         # the cache holds each layer's input, then the logits
         cache = [x]
+        last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            z = cache[-1] @ w.T + b
-            cache.append(np.tanh(z) if i < len(self.layers) - 1 else z)
-        return cache[-1], cache
+            z = cache[-1] @ w.T
+            z += b
+            if i < last:
+                np.tanh(z, out=z)
+            cache.append(z)
+        return z, cache
 
     def backward(self, cache, dlogits: np.ndarray):
         """Parameter gradients given d loss / d logits: one (dW, db) pair per layer."""
@@ -111,7 +124,10 @@ class Mlp:
             a = cache[i]  # layer i's input
             grads[i] = (delta.T @ a, delta.sum(axis=0))
             if i > 0:  # a = tanh(z), and tanh'(z) = 1 - a^2
-                delta = (delta @ self.layers[i][0]) * (1.0 - a * a)
+                d = a * a
+                np.subtract(1.0, d, out=d)
+                d *= delta @ self.layers[i][0]
+                delta = d
         return grads
 
     def get_flat(self) -> np.ndarray:
@@ -121,7 +137,7 @@ class Mlp:
         theta = np.array(theta, dtype=float)  # a copy: the caller keeps theirs
         if theta.shape != self._theta.shape:
             raise ValueError(f"parameter vector shape {theta.shape} != {self._theta.shape}")
-        return copy.copy(self)._set(theta)
+        return self._with(theta)
 
 
 def grads_flat(grads) -> np.ndarray:
@@ -149,18 +165,24 @@ def mlp_init(layer_sizes, activation: str = ACTIVATION, seed: int = 0) -> Mlp:
 
 def sgd_step(m: Mlp, grads, velocity, lr: float, momentum: float):
     """v <- momentum v + g; theta <- theta - lr v. Returns (model, v), with v
-    one vector; pass None as the velocity of the first step."""
+    one vector, updated in place; pass None as the velocity of the first step."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if not 0.0 <= momentum < 1.0:
         raise ValueError("momentum must be in [0, 1)")
     shapes = [(gw.shape, gb.shape) for gw, gb in grads]
     # per layer: a size-1 gradient would broadcast, a transposed one ravel
-    if shapes != [(w.shape, b.shape) for w, b in m.layers]:
+    if shapes != m._shapes:
         raise ValueError(f"gradient has {sum(gw.size + gb.size for gw, gb in grads)} entries "
                          f"in shapes {shapes}, the model {m.get_flat().size} parameters")
-    velocity = (0.0 if velocity is None else momentum * velocity) + grads_flat(grads)
-    return m.set_flat(m.get_flat() - lr * velocity), velocity
+    if velocity is None:
+        velocity = grads_flat(grads)
+        velocity += 0.0  # as 0.0 + g: a -0.0 gradient entry gives +0.0
+    else:
+        velocity *= momentum
+        velocity += grads_flat(grads)
+    step = lr * velocity
+    return m._with(np.subtract(m.get_flat(), step, out=step)), velocity
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special as sp
 
 from . import config as cfgmod
 from . import data as datamod
@@ -79,7 +80,7 @@ def _train_loop(model: Mlp, cfg: TrainConfig, id_data: Batch,
             value, grads = lossmod.loss_backward(model, batch, spec,
                                                  ood_batch=ood_batch,
                                                  frozen=frozen)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite {spec.kind} loss {value} at epoch {epoch}, step {step}")
             model, velocity = sgd_step(model, grads, velocity, lr, cfg.momentum)
@@ -185,6 +186,8 @@ def dilemma_csv(reports) -> str:
 def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
     """The special-function recurrences and the Pinsker, Bretagnolle-Huber,
     Lemma 2 and uncertainty-decomposition fuzz; one row per check."""
+    from scipy import special as sp
+
     rng = substream(cfg.seed, cfgmod.STREAM_FUZZ)
     checks = []
 

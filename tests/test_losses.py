@@ -105,6 +105,97 @@ def test_logsumexp_and_softmax_non_finite_rows_match_scipy():
         assert not np.isfinite(term("oe")(LossSpec("oe"), None, f[:6], None)[0])
 
 
+def plain_logsumexp(f):
+    """logsumexp as written before its fast path: every row through the tie
+    count m, under errstate."""
+    mx = f.max(axis=1, keepdims=True)
+    top = f == mx
+    m = top.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s = np.where(top, 0.0, np.exp(f - mx)).sum(axis=1, keepdims=True)
+        return (np.log1p(s / m) + np.log(m) + mx)[:, 0]
+
+
+def plain_softmax(f):
+    e = np.exp(f - f.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def same_bits(a, b):
+    """Equal float64 bit patterns (so -0.0 != 0.0), any NaN equal to any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(np.isnan(a), np.isnan(b))
+            and np.array_equal(a[~np.isnan(a)].view(np.int64), b[~np.isnan(b)].view(np.int64)))
+
+
+# ties, infinities, NaN and entries whose exponentials overflow
+EDGE_LOGITS = st.one_of(st.sampled_from([0.0, 1.0, -2.5, 1e300, -1e300, np.inf, -np.inf, np.nan]),
+                        st.floats(min_value=-1e308, max_value=1e308))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=6))
+def test_logsumexp_fast_and_general_paths_agree_bit_for_bit(data, n, k):
+    """Rows with one finite max skip the tie count. Each row alone, the rows
+    together, and the rows stacked on a tied row (which sends every row down
+    the general path) give the written-out formula's bits and scipy's value;
+    the shared logsumexp/softmax gives logsumexp's and softmax's bits."""
+    f = data.draw(arrays(float, (n, k), elements=EDGE_LOGITS))
+    want = plain_logsumexp(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = losses.logsumexp(f)
+        assert same_bits(got, want)
+        assert same_bits(losses.logsumexp(f, keepdims=True), want[:, None])
+        assert same_bits(losses.logsumexp(np.vstack([f, np.zeros((1, k))]))[:-1], want)
+        for i in range(n):
+            assert same_bits(losses.logsumexp(f[i:i + 1]), want[i:i + 1])
+        assert np.array_equal(got, special.logsumexp(f, axis=1), equal_nan=True)
+        lse, p = losses._logsumexp_softmax(f)
+        assert same_bits(lse, want)
+        assert same_bits(p, plain_softmax(f)) and same_bits(losses.softmax(f), p)
+
+
+def test_ce_oe_and_energy_equal_the_plain_formulas_bit_for_bit():
+    """ce_loss and the oe and energy terms work in place; each value and
+    gradient equals the formula written with a new array per operation, and
+    the logits, which alias the forward cache, are left as they were."""
+    rng = np.random.default_rng(71)
+    spec = LossSpec("energy_margin", **{**SPEC, "m_in": -3.0, "m_out": -2.0})
+    for n, m, k in ((128, 256, 3), (92, 256, 3), (1, 2, 2), (7, 5, 5)):
+        fi, fo = rng.normal(0.0, 2.0, size=(n, k)), rng.normal(0.0, 2.0, size=(m, k))
+        fi[0] = 0.5  # a tied row
+        y = rng.integers(0, k, size=n)
+        y[0] = k - 1
+        fi0, fo0 = fi.copy(), fo.copy()
+        rows = np.arange(n)
+
+        logp = fi - plain_logsumexp(fi)[:, None]
+        grad = np.exp(logp)
+        grad[rows, y] -= 1.0
+        value, got = losses.ce_loss(fi, y)
+        assert value.hex() == float(-logp[rows, y].mean()).hex()
+        assert same_bits(got, grad / n)
+
+        value, gi, go = term("oe")(spec, fi, fo, None)
+        assert gi is None
+        assert value.hex() == (spec.lam * float(
+            (plain_logsumexp(fo) - fo.mean(axis=1)).mean())).hex()
+        assert same_bits(go, spec.lam * ((plain_softmax(fo) - 1.0 / k) / m))
+
+        hi = np.maximum(-plain_logsumexp(fi) - spec.m_in, 0.0)
+        ho = np.maximum(spec.m_out - -plain_logsumexp(fo), 0.0)
+        value, gi, go = term("energy_margin")(spec, fi, fo, None)
+        assert value.hex() == (spec.lam * float((hi**2).mean() + (ho**2).mean())).hex()
+        assert same_bits(gi, spec.lam * ((2.0 * hi / n)[:, None] * (-plain_softmax(fi))))
+        assert same_bits(go, spec.lam * ((2.0 * ho / m)[:, None] * plain_softmax(fo)))
+        if n == 128:  # each hinge both active and inactive, zeros signed
+            assert 0 < np.count_nonzero(hi) < n and 0 < np.count_nonzero(ho) < m
+        assert same_bits(fi, fi0) and same_bits(fo, fo0)
+    for bad in (-1, k):
+        with pytest.raises(ValueError, match="label out of range"):
+            losses.ce_loss(fi, np.where(rows == n - 1, bad, y))
+
+
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
         LossSpec(kind="hinge")
@@ -146,8 +237,13 @@ def test_oe_loss_minimum_and_grad():
     assert abs(value - 1.2 * np.log(k)) < 1e-12
     assert gi is None and np.allclose(go, 0.0)
     rng = np.random.default_rng(35)
-    value, _, _ = term("oe")(spec, None, rng.normal(0.0, 2.0, size=(7, k)), None)
+    fo = rng.normal(0.0, 2.0, size=(7, k))
+    value, _, _ = term("oe")(spec, None, fo, None)
     assert value >= 1.2 * np.log(k) - 1e-12
+    # per row, the cross-entropy from uniform: -mean_k ln softmax(f)_k
+    per_row = losses.oe_per_sample(fo)
+    assert np.allclose(per_row, -np.log(special.softmax(fo, axis=1)).mean(axis=1), rtol=1e-12)
+    assert value == pytest.approx(1.2 * per_row.mean(), rel=1e-15)
 
 
 def test_energy_scores_shift_invariance_and_value():

@@ -77,6 +77,39 @@ def test_backward_matches_finite_differences():
     assert np.max(np.abs(grads - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
+@pytest.mark.parametrize("sizes", [(2, 3), (2, 64, 64, 3)])
+def test_forward_and_backward_equal_the_plain_formulas_bit_for_bit(sizes):
+    """forward_cache and backward work in place; each cached array and each
+    gradient equals the formula written with a new array per operation, on
+    a full 128-row batch and on the 92-row last batch of a 1,500-row epoch."""
+    rng = np.random.default_rng(17)
+    m = nn.mlp_init(sizes, seed=4)
+    m = m.set_flat(m.get_flat() + 0.1 * rng.standard_normal(m.get_flat().size))
+    last = len(m.layers) - 1
+    for rows in (128, 92):
+        x = rng.standard_normal((rows, 2))
+        dlogits = rng.standard_normal((rows, sizes[-1]))
+        dlogits[0, 0] = -0.0
+        want = [x]
+        for i, (w, b) in enumerate(m.layers):
+            z = want[-1] @ w.T + b
+            want.append(np.tanh(z) if i < last else z)
+        logits, cache = m.forward_cache(x)
+        assert logits is cache[-1] and len(cache) == len(want)
+        for got, expected in zip(cache, want):
+            assert np.array_equal(bits(got), bits(expected))
+        want_grads, delta = [None] * len(m.layers), dlogits
+        for i in range(last, -1, -1):
+            want_grads[i] = (delta.T @ want[i], delta.sum(axis=0))
+            if i > 0:
+                delta = (delta @ m.layers[i][0]) * (1.0 - want[i] * want[i])
+        got_grads = m.backward(cache, dlogits)
+        assert np.array_equal(bits(nn.grads_flat(got_grads)), bits(nn.grads_flat(want_grads)))
+        # backward reads the cache and writes none of it
+        for got, expected in zip(cache, want):
+            assert np.array_equal(bits(got), bits(expected))
+
+
 def test_parameters_are_one_read_only_vector():
     m = small_model(seed=5)
     theta = m.get_flat()
@@ -179,6 +212,21 @@ def test_sgd_step_momentum_update():
             assert np.array_equal(bits(v), bits(nn.grads_flat(vel)))
             assert np.array_equal(bits(model.get_flat()), bits(nn.grads_flat(layers)))
         assert len(model.layers) == len(layers)
+
+    # the velocity is updated in place; the models share no memory with it
+    # or with each other, and the old model keeps its parameters
+    m, v = small_model(seed=2), None
+    before = m.get_flat().copy()
+    grads = [(np.ones_like(w), np.ones_like(b)) for w, b in m.layers]
+    m1, v1 = nn.sgd_step(m, grads, v, 0.1, 0.5)
+    m2, v2 = nn.sgd_step(m1, grads, v1, 0.1, 0.5)
+    assert v2 is v1 and np.all(v2 == 1.5)
+    for a, b in ((m.get_flat(), m1.get_flat()), (m1.get_flat(), m2.get_flat()),
+                 (m2.get_flat(), v2), (m1.get_flat(), v2)):
+        assert not np.shares_memory(a, b)
+    assert np.array_equal(m.get_flat(), before)
+    assert all(w.base is m2.get_flat() for w, _ in m2.layers)
+    assert not m2.get_flat().flags.writeable
 
 
 def test_sgd_step_rejects_gradient_of_wrong_shape():

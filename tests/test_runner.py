@@ -2,6 +2,9 @@
 
 import ast
 import errno
+import json
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from dul_lab import cli, config, fileio, metrics, runner, theory
 from dul_lab.config import TrainConfig, load_config, save_config, substream
@@ -408,6 +412,62 @@ def test_verify_counts_a_nan_case_as_a_violation(tmp_path, monkeypatch):
             for line in (out / "verify.csv").read_text(encoding="utf-8").splitlines()[1:]}
     failed = {name for name, ok in rows.items() if ok == "0"}
     assert failed == {"uncertainty_decomposition", "mutual_information_nonneg"}
+
+
+# Run in a fresh interpreter: records whether scipy.special is loaded after
+# each step of a softmax-only session, then after one Dirichlet kernel call.
+SOFTMAX_SESSION = """
+import json, sys
+import numpy as np
+from dul_lab import cli, dirichlet, runner
+from dul_lab.config import load_config
+
+good, bad, out = sys.argv[1:]
+seen = {"import dul_lab.cli": "scipy.special" in sys.modules}
+for name, argv in (("dul --help", ["--help"]),
+                   ("bad config", ["pretrain", "--config", bad, "--out", out])):
+    try:
+        cli.main(argv)
+    except SystemExit as exc:
+        seen[name] = ("scipy.special" in sys.modules, exc.code)
+cfg = load_config(good)
+base = runner.pretrain(cfg)
+seen["pretrain"] = "scipy.special" in sys.modules
+for method in ("oe", "energy"):
+    runner.finetune(cfg.with_(method=method), base)
+    seen["finetune " + method] = "scipy.special" in sys.modules
+alpha = np.array([[1.0, 2.5, 7.0], [0.3, 0.3, 40.0]])
+first = dirichlet.diff_entropy_rows(alpha)
+seen["after a kernel"] = ("scipy.special" in sys.modules,
+                          dirichlet.sp is sys.modules.get("scipy.special"))
+seen["values"] = [v.hex() for v in np.concatenate([first, dirichlet.diff_entropy_rows(alpha)])]
+print(json.dumps(seen))
+"""
+
+
+def test_softmax_runs_leave_scipy_special_unloaded(tmp_path):
+    """ce, oe and energy call no Dirichlet kernel, so neither importing the
+    CLI, nor --help, nor a config that exits 2, nor pretraining and the oe
+    and energy finetunes imports scipy.special. The first kernel call does,
+    and returns what the kernel's formula gives with scipy.special loaded
+    up front, bit for bit, on that call and the next."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[train]\nno_such_key = 1\n", encoding="utf-8")
+    src = Path(runner.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", SOFTMAX_SESSION, write_tiny_config(tmp_path / "run.ini"),
+         str(bad), str(tmp_path / "out")],
+        capture_output=True, text=True, check=True, cwd=src)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    values = seen.pop("values")
+    assert seen == {"import dul_lab.cli": False, "dul --help": [False, 0],
+                    "bad config": [False, 2], "pretrain": False, "finetune oe": False,
+                    "finetune energy": False, "after a kernel": [True, True]}
+    alpha = np.array([[1.0, 2.5, 7.0], [0.3, 0.3, 40.0]])
+    a0 = alpha.sum(axis=1)
+    want = (np.sum(sp.gammaln(alpha), axis=1) - sp.gammaln(a0)
+            - np.sum((alpha - 1.0) * (sp.digamma(alpha) - sp.digamma(a0)[:, None]), axis=1))
+    assert values == [v.hex() for v in np.concatenate([want, want])]
 
 
 def test_train_loop_deterministic():
