@@ -155,14 +155,6 @@ def kl_dirichlet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             + np.sum((a - b) * (sp.digamma(a) - sp.digamma(a0)[:, None]), axis=1))
 
 
-def kl_dirichlet_grad_first_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient of kl_dirichlet_rows with respect to the first argument."""
-    _same_shape(a, b)
-    diff = a - b
-    return (diff * sp.polygamma(1, a)
-            - (diff.sum(axis=1) * sp.polygamma(1, a.sum(axis=1)))[:, None])
-
-
 def kl_dirichlet_grad_second_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gradient of kl_dirichlet_rows with respect to the second argument."""
     _same_shape(a, b)

@@ -1,15 +1,19 @@
 """Training objectives, one row of named terms per LossSpec.kind in
 OBJECTIVES: a base term on the labeled ID logits, then weighted outlier
 terms. ce = ce; oe = ce + lam * oe; energy_margin = ce + lam * energy_margin;
-dpn = dpn_target (target KL on ID) + dpn_flat (flat KL on outliers);
-dul = dirichlet_ce + lam * dul_hinge + gamma * dul_anchor.
-
-Every term returns its value with exact logit gradients; loss_backward sums
-them in table order and back-propagates the sums.
+dpn = dpn_target + dpn_flat; dul = dirichlet_ce + lam * dul_hinge + gamma *
+dul_anchor. Each Dirichlet term, on alpha = relu(f) + 1, is one quantity of the
+lab (h: differential entropy): dirichlet_ce is ce on the logits ln alpha;
+dpn_target the Dirichlet KL from a sharp target; dpn_flat is KL(Dir(alpha) ||
+Dir(1)) = -h(alpha) - ln Gamma(K), which lifts outlier h to its flat maximum,
+where dul_hinge stops at the frozen h + dul_margin; dul_anchor is the KL between
+the Dirichlet means. Every term returns its value with exact logit gradients;
+loss_backward sums them in table order and back-propagates the sums.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -124,16 +128,10 @@ def _ce(spec, f, y):
 
 
 def _dirichlet_ce(spec, f, y):
-    """Mean -ln of the Dirichlet mean at the label."""
-    f, y = _labeled(f, y)
-    n, k = f.shape
-    rows = np.arange(n)
+    """Mean -ln of the Dirichlet mean at the label: softmax(ln alpha) = alpha / alpha0."""
     a = dmath.alpha_rows(f)
-    a0 = a.sum(axis=1)
-    value = float(-np.log(a[rows, y] / a0).mean())
-    galpha = np.repeat((1.0 / a0)[:, None], k, axis=1)
-    galpha[rows, y] -= 1.0 / a[rows, y]
-    return value, galpha * dmath.alpha_jacobian_rows(f) / n
+    value, g = ce_loss(np.log(a), y)
+    return value, g / a * dmath.alpha_jacobian_rows(f)
 
 
 def _dpn_target(spec, f, y):
@@ -182,13 +180,11 @@ def _energy_margin(spec, fi, fo, f0):
 
 
 def _dpn_flat(spec, fi, fo, f0):
-    """Mean KL from the predicted outlier Dirichlet to the flat one."""
-    m = fo.shape[0]
-    pred = dmath.alpha_rows(fo)
-    flat = np.ones_like(pred)
-    go = (dmath.kl_dirichlet_grad_first_rows(pred, flat)
-          * dmath.alpha_jacobian_rows(fo)) / m
-    return np.sum(dmath.kl_dirichlet_rows(pred, flat)) / m, None, go
+    """Mean KL from the predicted outlier Dirichlet to the flat one, -h - ln Gamma(K)."""
+    m, k = fo.shape
+    a = dmath.alpha_rows(fo)
+    go = -dmath.diff_entropy_grad_rows(a) * dmath.alpha_jacobian_rows(fo) / m
+    return -(np.sum(dmath.diff_entropy_rows(a)) / m) - math.lgamma(k), None, go
 
 
 def _dul_alphas(fo, f0):

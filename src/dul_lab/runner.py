@@ -186,17 +186,15 @@ def dilemma_csv(reports) -> str:
 def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
     """The special-function recurrences and the Pinsker, Bretagnolle-Huber,
     Lemma 2 and uncertainty-decomposition fuzz; one row per check."""
-    from scipy import special as sp
-
     rng = substream(cfg.seed, cfgmod.STREAM_FUZZ)
     checks = []
 
     # digamma/trigamma recurrences, on the scipy calls the kernels make
     xs = rng.uniform(1e-6, 100.0, size=1000)
-    dig = np.max(np.abs(sp.digamma(xs + 1.0) - sp.digamma(xs) - 1.0 / xs)
+    dig = np.max(np.abs(dmath.sp.digamma(xs + 1.0) - dmath.sp.digamma(xs) - 1.0 / xs)
                  / np.maximum(1.0, 1.0 / xs))
-    tri = np.max(np.abs(sp.polygamma(1, xs + 1.0) - sp.polygamma(1, xs) + 1.0 / xs**2)
-                 / np.maximum(1.0, 1.0 / xs**2))
+    tri = np.max(np.abs(dmath.sp.polygamma(1, xs + 1.0) - dmath.sp.polygamma(1, xs)
+                        + 1.0 / xs**2) / np.maximum(1.0, 1.0 / xs**2))
     checks.append(("digamma_recurrence", dig, 1e-12, dig <= 1e-12))
     checks.append(("trigamma_recurrence", tri, 1e-12, tri <= 1e-12))
 

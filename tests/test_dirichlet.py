@@ -1,5 +1,7 @@
 """Unit tests for the Dirichlet uncertainty module."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,19 +246,55 @@ def test_kl_dirichlet_grads_finite_difference():
     for _ in range(5):
         a = random_alpha(rng, k=4).alpha
         b = random_alpha(rng, k=4).alpha
-        ga = dmath.kl_dirichlet_grad_first_rows(a[None, :], b[None, :])[0]
         gb = dmath.kl_dirichlet_grad_second_rows(a[None, :], b[None, :])[0]
         for i in range(4):
-            up, dn = a.copy(), a.copy()
-            up[i] += h
-            dn[i] -= h
-            fd = (kl_dirichlet(up, b) - kl_dirichlet(dn, b)) / (2.0 * h)
-            assert abs(ga[i] - fd) < 1e-5 * max(1.0, abs(fd))
             up, dn = b.copy(), b.copy()
             up[i] += h
             dn[i] -= h
             fd = (kl_dirichlet(a, up) - kl_dirichlet(a, dn)) / (2.0 * h)
             assert abs(gb[i] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+def _kl_grad_first_rows(a, b):
+    """d KL(Dir(a) || Dir(b)) / d a per row, in the KL's own form."""
+    diff = a - b
+    return (diff * sp.polygamma(1, a)
+            - (diff.sum(axis=1) * sp.polygamma(1, a.sum(axis=1)))[:, None])
+
+
+def test_kl_to_the_flat_dirichlet_is_minus_the_differential_entropy():
+    """KL(Dir(a) || Dir(1)) = -h(a) - ln Gamma(K) and d KL / d a = -dh / da,
+    over 2,000 batches of 7 rows, K = 2-8, a up to about 5e5.
+
+    The value: both sides add the same computed terms, ln Gamma(a0),
+    sum_k ln Gamma(a_k) and sum_k (a_k - 1)(psi(a_k) - psi(a0)), and
+    ln Gamma(K), in a different order (the KL's ln Gamma(1) terms are exactly
+    0). Each of the at most 7 additions rounds by at most eps times S, the sum
+    of the terms' magnitudes, and scipy's and math's ln Gamma(K) differ by a
+    few ulps of ln Gamma(K) <= S; so the gap is at most 8 eps S.
+    The gradient: both sides share (a_k - 1) psi_1(a_k) bit for bit and differ
+    only in sum_k (a_k - 1) against a0 - K, two sums of K nonnegative terms
+    below a0 (a_k - 1 is exact), so they differ by at most 2K eps a0. Times
+    psi_1(a0), with x psi_1(x) < 1.3 for x >= 2, and with the product and
+    the last subtraction rounding at most eps each (both parts are below 1),
+    the gap is below 4 (K + 2) eps.
+    """
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for _ in range(2000):
+        k = int(rng.integers(2, 9))
+        f = np.exp(rng.uniform(-5.0, 13.0, size=(7, k))) * rng.choice([-1.0, 1.0], (7, k))
+        f[rng.random(f.shape) < 0.2] = 0.0  # alpha exactly 1
+        a = dmath.alpha_rows(f)
+        flat = np.ones_like(a)
+        a0 = a.sum(axis=1)
+        s = (gammaln(a0) + np.abs(gammaln(a)).sum(axis=1) + gammaln(k)
+             + np.abs((a - 1.0) * (sp.digamma(a) - sp.digamma(a0)[:, None])).sum(axis=1))
+        gap = np.abs(dmath.kl_dirichlet_rows(a, flat)
+                     - (-dmath.diff_entropy_rows(a) - math.lgamma(k)))
+        assert np.all(gap <= 8.0 * eps * s)
+        gap = np.abs(_kl_grad_first_rows(a, flat) + dmath.diff_entropy_grad_rows(a))
+        assert np.all(gap <= 4.0 * (k + 2) * eps)
 
 
 @settings(deadline=None, max_examples=100)
@@ -300,7 +338,6 @@ def test_row_kernels_batch_rows_equal_each_row_alone(data, n, k):
             "diff_entropy": dmath.diff_entropy_rows(a),
             "diff_entropy_grad": dmath.diff_entropy_grad_rows(a),
             "kl": dmath.kl_dirichlet_rows(a, b),
-            "kl_grad_first": dmath.kl_dirichlet_grad_first_rows(a, b),
             "kl_grad_second": dmath.kl_dirichlet_grad_second_rows(a, b),
             "total_uncertainty": dmath.total_uncertainty_rows(a),
         }

@@ -1,6 +1,7 @@
 """Unit tests for the loss terms and objectives: values, exact gradients,
 weights, validation."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -427,16 +428,14 @@ def test_loss_backward_matches_finite_differences(kind):
 # loop.
 
 def _row_dirichlet_ce(f, y):
-    n, k = f.shape
+    n = f.shape[0]
     value, grad = 0.0, np.zeros_like(f)
     for i in range(n):
-        alpha = dmath.alpha_rows(f[i:i + 1])[0]
-        alpha0 = float(alpha.sum())
-        value += -np.log(alpha[y[i]] / alpha0)
-        galpha = np.full(k, 1.0 / alpha0)
-        galpha[y[i]] -= 1.0 / alpha[y[i]]
-        grad[i] = galpha * dmath.alpha_jacobian_rows(f[i:i + 1])[0]
-    return value / n, grad / n
+        a = dmath.alpha_rows(f[i:i + 1])
+        v, g = losses.ce_loss(np.log(a), y[i:i + 1])
+        value += v
+        grad[i] = (g[0] / n) / a[0] * dmath.alpha_jacobian_rows(f[i:i + 1])[0]
+    return value / n, grad
 
 
 def _row_dpn_target(fi, y, target_alpha0, smoothing):
@@ -455,14 +454,12 @@ def _row_dpn_target(fi, y, target_alpha0, smoothing):
 
 def _row_dpn_flat(fo):
     m, k = fo.shape
-    flat = np.ones((1, k))
     value, go = 0.0, np.zeros_like(fo)
     for j in range(m):
-        pred = dmath.alpha_rows(fo[j:j + 1])
-        value += dmath.kl_dirichlet_rows(pred, flat)[0]
-        go[j] = (dmath.kl_dirichlet_grad_first_rows(pred, flat)[0]
-                 * dmath.alpha_jacobian_rows(fo[j:j + 1])[0])
-    return value / m, go / m
+        a = dmath.alpha_rows(fo[j:j + 1])
+        value += -dmath.diff_entropy_rows(a)[0]
+        go[j] = -dmath.diff_entropy_grad_rows(a)[0] * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]
+    return value / m - math.lgamma(k), go / m
 
 
 def _row_dul_hinge(fo, f0, lam, margin):
@@ -492,6 +489,42 @@ def _row_dul_anchor(fo, f0, gamma):
         galpha = (lr - float(np.sum(p.p * lr))) / a.sum()
         go[j] = gamma * (galpha * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]) / m
     return gamma * value / m, go
+
+
+def test_dirichlet_ce_is_the_cross_entropy_of_the_dirichlet_mean():
+    """dirichlet_ce, ce on the logits ln a, against -ln(a_y / a0) and its
+    gradient (1 / a0 - [k = y] / a_y) / n per alpha, written out; K = 2-8,
+    a up to about 5e5.
+
+    softmax(ln a)_k is a_k / a0 (1 + d), where d gathers the rounding of
+    ln a_k (eps ln a0), of the logsumexp (eps (ln a0 + K)) and of the
+    subtraction and exponential: |d| <= eps (2 ln a0 + K + 2). The gradient
+    is (softmax(ln a) - [k = y]) / (n a_k), which is the written-out entry
+    plus d / (n a0); with a few roundings of each side's own entry, every
+    entry is within 4 eps L (1 / (n a0) + |entry|), L = K + 1 + ln a0.
+    Each row's value is within eps (2 ln a0 + K + 5) of the exact
+    -ln(a_y / a0) >= 0 on both sides, and each mean of n rows rounds by at
+    most n eps times it: the values are within 4 eps (max L + n value).
+    """
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for _ in range(1000):
+        k, n = int(rng.integers(2, 9)), int(rng.integers(1, 41))
+        f = np.exp(rng.uniform(-5.0, 13.0, size=(n, k))) * rng.choice([-1.0, 1.0], (n, k))
+        f[rng.random(f.shape) < 0.2] = 0.0  # the relu kink
+        y = rng.integers(0, k, size=n)
+        rows = np.arange(n)
+        a = dmath.alpha_rows(f)
+        a0 = a.sum(axis=1)
+        want_value = float(-np.log(a[rows, y] / a0).mean())
+        galpha = np.repeat((1.0 / a0)[:, None], k, axis=1)
+        galpha[rows, y] -= 1.0 / a[rows, y]
+        want_grad = galpha * dmath.alpha_jacobian_rows(f) / n
+        value, grad = term("dirichlet_ce")(None, f, y)
+        big_l = k + 1.0 + np.log(a0)
+        assert abs(value - want_value) <= 4.0 * eps * (big_l.max() + n * want_value)
+        assert np.all(np.abs(grad - want_grad) <= 4.0 * eps * big_l[:, None]
+                      * (1.0 / (n * a0[:, None]) + np.abs(want_grad)))
 
 
 def _random_batches(seed, count=25):

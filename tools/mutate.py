@@ -1,23 +1,25 @@
-"""Mutation testing of one src/dul_lab module against its own test file.
+"""Mutation testing of one src/dul_lab module against its test files.
 
 Each mutant changes one spot of the module: it swaps `<` and `<=` (and `>`
 and `>=`), `+` and `-`, `*` and `/` (in augmented assignments too), min and
 max (the builtins, numpy's `minimum`/`maximum` and the `.min()`/`.max()`
 methods), or doubles a float constant. The mutated module is written into a
-fresh copy of `src/` and `tests/`, and the module's own test file,
-`tests/test_<module>.py`, runs on it under `pytest -x`. A mutant that fails
-no test survived: either a test is missing, or the mutant computes the same
-thing as the original. A mutant whose tests run longer than TIMEOUT_S
-seconds counts as timed out.
+fresh copy of `src/` and `tests/`, and the test files given after the
+module name (by default its own, `tests/test_<module>.py`) run on it under
+`pytest -x`. A mutant that fails no test survived: either a test is missing,
+or the mutant computes the same thing as the original. A mutant whose tests
+run longer than TIMEOUT_S seconds counts as timed out.
 
 The module is rewritten from its syntax tree (`ast.unparse`), so comments
 and layout differ in the copy; nothing else does. Bytecode caches are off,
 so two mutants of equal size never share a stale `.pyc`.
 
 Uses the standard library and pytest; not part of tier 1. Run it from
-anywhere, one module at a time:
+anywhere, one module at a time, with the test files to run if not the
+module's own (paths relative to the repository root):
 
     python3 tools/mutate.py losses
+    python3 tools/mutate.py losses tests/test_losses.py tests/test_runner.py
 """
 
 from __future__ import annotations
@@ -107,10 +109,10 @@ def mutant_source(source: str, index: int) -> str:
     return ast.unparse(Mutator(index).visit(ast.parse(source))) + "\n"
 
 
-def run_tests(work: Path, tests: str) -> str:
+def run_tests(work: Path, tests: list) -> str:
     """'killed', 'survived' or 'timeout' for the copy in `work`."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(cmd, cwd=work, env=env, capture_output=True,
                               timeout=TIMEOUT_S)
@@ -122,11 +124,14 @@ def run_tests(work: Path, tests: str) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("module", help="module name under src/dul_lab, e.g. losses")
+    ap.add_argument("tests", nargs="*",
+                    help="test files to run (default tests/test_<module>.py)")
     args = ap.parse_args(argv)
     path = PACKAGE / f"{args.module}.py"
-    tests = f"tests/test_{args.module}.py"
-    if not path.is_file() or not (ROOT / tests).is_file():
-        ap.error(f"need {path.relative_to(ROOT)} and {tests}")
+    tests = args.tests or [f"tests/test_{args.module}.py"]
+    for name in [path.relative_to(ROOT), *tests]:
+        if not (ROOT / name).is_file():
+            ap.error(f"no file {name}")
     source = path.read_text(encoding="utf-8")
     sites = mutants(source)
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
     print(f"\n{path.name}: {n} mutants, {counts['killed']} killed, "
           f"{counts['survived']} survived, {counts['timeout']} timed out "
           f"(survival {counts['survived'] / max(n, 1):.0%}; "
-          f"{time.monotonic() - t0:.0f} s; tests: {tests})")
+          f"{time.monotonic() - t0:.0f} s; tests: {' '.join(tests)})")
     return 0
 
 

@@ -3,10 +3,11 @@
 Runs every `dul` subcommand once, in process and on a tiny config, under a
 line tracer (`sys.settrace`), and prints each statement of `src/dul_lab`
 that never ran, as `file:line function: source`. `raise` statements are left
-out: they are the boundary checks, which the tests reach. A function whose
-statements all show up here has no caller outside the tests, unless the
-benchmark under perfbench/ calls it (tests/test_bench_surface.py checks the
-names that benchmark uses).
+out: they are the boundary checks, which the tests reach. So are `global` and
+`nonlocal` declarations, which run no code. A function whose statements all
+show up here has no caller outside the tests, unless the benchmark under
+perfbench/ calls it (tests/test_bench_surface.py checks the names that
+benchmark uses).
 
 It sees statements, not values. An option whose other value lives inside
 a one-line expression, such as the branch of a conditional expression or
@@ -97,13 +98,16 @@ def run_cli(out: Path) -> set:
 def statements(tree: ast.Module):
     """(first line, last line, first line of the statement, enclosing
     function) for each statement that can run, docstrings and `raise` left
-    out. A compound statement spans its decorators and header, not its body."""
+    out. `global` and `nonlocal` are left out too: they are declarations,
+    which never emit a line event. A compound statement spans its decorators
+    and header, not its body."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.stmt) and not isinstance(child, ast.Raise) and not (
+            if isinstance(child, ast.stmt) and not isinstance(
+                    child, (ast.Raise, ast.Global, ast.Nonlocal)) and not (
                     isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant)):
                 first = min([child.lineno] + [d.lineno for d in
                                               getattr(child, "decorator_list", [])])
