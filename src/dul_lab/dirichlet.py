@@ -16,9 +16,11 @@ construction from a read-only copy, with Python ``+=`` sums in index order:
 numpy's own order for K < 8, so each value equals the numpy form bit for
 bit there; from K = 8 numpy's pairwise sum reorders the additions.
 
-scipy.special, which supplies gammaln, digamma and polygamma, is imported
-the first time one of them is called, so the softmax methods (ce, oe and
-energy), which call none, never import it.
+scipy.special, which supplies gammaln, digamma and the trigamma function
+(as the Hurwitz zeta(2, x), bit for bit polygamma(1, x) without the digamma
+that polygamma also evaluates), is imported the first time one of them is
+called, so the softmax methods (ce, oe and energy), which call none, never
+import it.
 """
 
 from __future__ import annotations
@@ -131,35 +133,37 @@ def diff_entropy_rows(alpha: np.ndarray) -> np.ndarray:
                      axis=1))
 
 
-def diff_entropy_grad_rows(alpha: np.ndarray) -> np.ndarray:
-    """d h / d alpha_k = -(alpha_k - 1) psi_1(alpha_k) + (alpha0 - K) psi_1(alpha0)."""
-    a0 = alpha.sum(axis=1)
+def diff_entropy_logit_grad_rows(logits, alpha: np.ndarray) -> np.ndarray:
+    """d h(alpha) / d f per row, for alpha = alpha_rows(f): where f_k > 0,
+    d h / d alpha_k = -(alpha_k - 1) psi_1(alpha_k) + (alpha0 - K) psi_1(alpha0);
+    where f_k <= 0 (the kink included) it is 0, the Jacobian's entry, so the
+    trigamma psi_1 is evaluated only on positive entries and row sums."""
+    pos = np.asarray(logits) > 0
     k = alpha.shape[1]
-    return (-(alpha - 1.0) * sp.polygamma(1, alpha)
-            + ((a0 - k) * sp.polygamma(1, a0))[:, None])
+    a0 = alpha.sum(axis=1)
+    a = alpha[pos]
+    grad = np.zeros_like(alpha)
+    grad[pos] = (-(a - 1.0) * sp.zeta(2.0, a)
+                 + ((a0 - k) * sp.zeta(2.0, a0))[np.nonzero(pos)[0]])
+    return grad
 
 
-def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
+def kl_dirichlet_rows(alpha: np.ndarray, first: np.ndarray, index):
+    """KL(Dir(first[index_i]) || Dir(alpha_i)) for each row i of alpha, and
+    its gradient with respect to alpha_i. The first arguments are given once
+    each, as the rows of first (dpn's K targets), so their gammaln and
+    digamma terms are computed per row of first, not per row of alpha."""
+    if first.ndim != 2 or first.shape[1] != alpha.shape[1]:
         raise ValueError("dimension mismatch")
-
-
-def kl_dirichlet_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """KL(Dir(a_i) || Dir(b_i)) for each pair of rows."""
-    _same_shape(a, b)
-    a0, b0 = a.sum(axis=1), b.sum(axis=1)
-    return (sp.gammaln(a0)
-            - np.sum(sp.gammaln(a), axis=1)
-            - sp.gammaln(b0)
-            + np.sum(sp.gammaln(b), axis=1)
-            + np.sum((a - b) * (sp.digamma(a) - sp.digamma(a0)[:, None]), axis=1))
-
-
-def kl_dirichlet_grad_second_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient of kl_dirichlet_rows with respect to the second argument."""
-    _same_shape(a, b)
-    return (sp.digamma(b) - sp.digamma(b.sum(axis=1))[:, None]
-            - (sp.digamma(a) - sp.digamma(a.sum(axis=1))[:, None]))
+    f0 = first.sum(axis=1)
+    lg_first = (sp.gammaln(f0) - np.sum(sp.gammaln(first), axis=1))[index]
+    psi_first = (sp.digamma(first) - sp.digamma(f0)[:, None])[index]
+    a0 = alpha.sum(axis=1)
+    kl = (lg_first
+          - sp.gammaln(a0)
+          + np.sum(sp.gammaln(alpha), axis=1)
+          + np.sum((first[index] - alpha) * psi_first, axis=1))
+    return kl, sp.digamma(alpha) - sp.digamma(a0)[:, None] - psi_first
 
 
 def categorical_entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -141,20 +142,40 @@ def _dpn_target(spec, f, y):
     if spec.target_alpha0 <= k:
         raise ValueError("target_alpha0 must exceed K")
     f, y = _labeled(f, y)
-    target = np.full((n, k), spec.smoothing / k)
-    target[np.arange(n), y] += 1.0 - spec.smoothing
-    target = spec.target_alpha0 * target
-    pred = dmath.alpha_rows(f)
-    grad = (dmath.kl_dirichlet_grad_second_rows(target, pred)
-            * dmath.alpha_jacobian_rows(f)) / n
-    return np.sum(dmath.kl_dirichlet_rows(target, pred)) / n, grad
+    targets = np.full((k, k), spec.smoothing / k)  # row c: the target of label c
+    targets[np.arange(k), np.arange(k)] += 1.0 - spec.smoothing
+    kl, grad = dmath.kl_dirichlet_rows(dmath.alpha_rows(f), spec.target_alpha0 * targets, y)
+    return np.sum(kl) / n, (grad * dmath.alpha_jacobian_rows(f)) / n
 
 
-# Outlier terms, weighted: (spec, ID logits, outlier logits, frozen outlier
-# logits or None) -> (value, ID gradient or None, outlier gradient)
+class _Outliers:
+    """One step's outlier logits f, the frozen model's logits on the same
+    points (None without a frozen model), and their concentrations, each
+    computed at most once however many terms read them."""
 
-def _oe(spec, fi, fo, f0):
+    def __init__(self, f, frozen):
+        self.f, self.frozen = f, frozen
+
+    @cached_property
+    def alpha(self):
+        return dmath.alpha_rows(self.f)
+
+    @cached_property
+    def alpha_frozen(self):
+        """The frozen model's concentrations, constants of dul's terms."""
+        if self.frozen is None:
+            raise ValueError("dul needs the frozen pretrained model")
+        if self.frozen.shape != self.f.shape:
+            raise ValueError("current and frozen outlier logits must share a shape")
+        return dmath.alpha_rows(self.frozen)
+
+
+# Outlier terms, weighted: (spec, ID logits, _Outliers) -> (value, ID
+# gradient or None, outlier gradient)
+
+def _oe(spec, fi, out):
     """lam x mean uniform cross-entropy, least (ln K) at a uniform softmax."""
+    fo = out.f
     n, k = fo.shape
     lse, go = _logsumexp_softmax(fo)
     value = spec.lam * float((lse - fo.mean(axis=1)).mean())  # oe_per_sample's mean
@@ -164,9 +185,10 @@ def _oe(spec, fi, fo, f0):
     return value, None, go
 
 
-def _energy_margin(spec, fi, fo, f0):
+def _energy_margin(spec, fi, out):
     """lam x squared hinges on energies: ID pushed below m_in, outliers
     above m_out. dE/df = -softmax(f)."""
+    fo = out.f
     (lse_i, gi), (lse_o, go) = _logsumexp_softmax(fi), _logsumexp_softmax(fo)
     hi = np.maximum(-lse_i - spec.m_in, 0.0)  # energy = -logsumexp
     ho = np.maximum(spec.m_out + lse_o, 0.0)  # m_out - energy
@@ -179,39 +201,32 @@ def _energy_margin(spec, fi, fo, f0):
     return value, gi, go
 
 
-def _dpn_flat(spec, fi, fo, f0):
+def _dpn_flat(spec, fi, out):
     """Mean KL from the predicted outlier Dirichlet to the flat one, -h - ln Gamma(K)."""
-    m, k = fo.shape
-    a = dmath.alpha_rows(fo)
-    go = -dmath.diff_entropy_grad_rows(a) * dmath.alpha_jacobian_rows(fo) / m
+    m, k = out.f.shape
+    a = out.alpha
+    go = -dmath.diff_entropy_logit_grad_rows(out.f, a) / m
     return -(np.sum(dmath.diff_entropy_rows(a)) / m) - math.lgamma(k), None, go
 
 
-def _dul_alphas(fo, f0):
-    """Current and frozen (constant) outlier concentrations, current Jacobian."""
-    if f0 is None:
-        raise ValueError("dul needs the frozen pretrained model")
-    if fo.shape != f0.shape:
-        raise ValueError("current and frozen outlier logits must share a shape")
-    return dmath.alpha_rows(fo), dmath.alpha_rows(f0), dmath.alpha_jacobian_rows(fo)
-
-
-def _dul_hinge(spec, fi, fo, f0):
+def _dul_hinge(spec, fi, out):
     """lam x a linear hinge that lifts each outlier's differential entropy
-    to at least the frozen model's plus dul_margin."""
-    a, a_frozen, jac = _dul_alphas(fo, f0)
+    to at least the frozen model's plus dul_margin; only its active rows
+    have a gradient."""
+    a_frozen, a = out.alpha_frozen, out.alpha
     hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + spec.dul_margin)
                        - dmath.diff_entropy_rows(a))
-    slope = np.where(hinge > 0, -1.0, 0.0)
-    galpha = slope[:, None] * dmath.diff_entropy_grad_rows(a)
-    return (spec.lam * np.sum(hinge) / len(fo), None,
-            spec.lam * (galpha * jac) / len(fo))
+    go = np.zeros_like(a)
+    active = hinge > 0
+    if active.any():
+        go[active] = -dmath.diff_entropy_logit_grad_rows(out.f[active], a[active])
+    return spec.lam * np.sum(hinge) / len(a), None, spec.lam * go / len(a)
 
 
-def _dul_anchor(spec, fi, fo, f0):
+def _dul_anchor(spec, fi, out):
     """gamma x KL from the predicted class distribution on outliers to the
     frozen model's, which keeps total uncertainty where it was."""
-    a, a_frozen, jac = _dul_alphas(fo, f0)
+    a_frozen, a = out.alpha_frozen, out.alpha
     a0 = a.sum(axis=1)
     p = a / a0[:, None]
     p0 = a_frozen / a_frozen.sum(axis=1, keepdims=True)
@@ -219,8 +234,8 @@ def _dul_anchor(spec, fi, fo, f0):
     kl = np.sum(p * lr, axis=1)
     # d KL(p||p0) / d alpha_j = (ln(p_j/p0_j) - KL) / alpha0
     galpha = (lr - kl[:, None]) / a0[:, None]
-    return (spec.gamma * np.sum(kl) / len(fo), None,
-            spec.gamma * (galpha * jac) / len(fo))
+    return (spec.gamma * np.sum(kl) / len(a), None,
+            spec.gamma * (galpha * dmath.alpha_jacobian_rows(out.f)) / len(a))
 
 
 # kind -> (base term, outlier terms...)
@@ -251,8 +266,8 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
         raise ValueError(f"loss kind {spec.kind!r} needs an outlier batch")
     ood_logits, ood_cache = m.forward_cache(ood_batch.points)
     frozen_logits = None if frozen is None else frozen.forward(ood_batch)
-    values, gis, gos = zip(*(term(spec, id_logits, ood_logits, frozen_logits)
-                             for term in terms))
+    out = _Outliers(ood_logits, frozen_logits)
+    values, gis, gos = zip(*(term(spec, id_logits, out) for term in terms))
     gi = sum((g for g in gis if g is not None), gi)
     go = sum(gos[1:], gos[0])
     return float(value + sum(values)), [

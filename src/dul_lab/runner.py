@@ -193,7 +193,7 @@ def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
     xs = rng.uniform(1e-6, 100.0, size=1000)
     dig = np.max(np.abs(dmath.sp.digamma(xs + 1.0) - dmath.sp.digamma(xs) - 1.0 / xs)
                  / np.maximum(1.0, 1.0 / xs))
-    tri = np.max(np.abs(dmath.sp.polygamma(1, xs + 1.0) - dmath.sp.polygamma(1, xs)
+    tri = np.max(np.abs(dmath.sp.zeta(2.0, xs + 1.0) - dmath.sp.zeta(2.0, xs)
                         + 1.0 / xs**2) / np.maximum(1.0, 1.0 / xs**2))
     checks.append(("digamma_recurrence", dig, 1e-12, dig <= 1e-12))
     checks.append(("trigamma_recurrence", tri, 1e-12, tri <= 1e-12))

@@ -29,7 +29,7 @@ def diff_entropy(alpha):
 
 def kl_dirichlet(a, b):
     """KL(Dir(a) || Dir(b)), through the row kernel."""
-    return float(dmath.kl_dirichlet_rows(a[None, :], b[None, :])[0])
+    return float(dmath.kl_dirichlet_rows(b[None, :], a[None, :], [0])[0][0])
 
 
 def dirichlet_logpdf(alpha, mu):
@@ -43,7 +43,21 @@ def test_special_function_values():
     dig = sp.digamma(np.array([1.0, 0.5]))
     assert abs(dig[0] + EULER_GAMMA) < 1e-12
     assert abs(dig[1] + EULER_GAMMA + 2.0 * np.log(2.0)) < 1e-12
-    assert abs(sp.polygamma(1, np.array([1.0]))[0] - np.pi**2 / 6.0) < 1e-12
+    assert abs(sp.zeta(2.0, np.array([1.0]))[0] - np.pi**2 / 6.0) < 1e-12
+
+
+def test_zeta_is_the_trigamma_bit_for_bit():
+    """The kernels take the trigamma as the Hurwitz zeta(2, x), which
+    skips the digamma that polygamma(1, x) also evaluates; the two agree
+    bit for bit on the verify fuzz range, across [1e-6, 1e6], and on
+    concentrations and their row sums."""
+    rng = np.random.default_rng(2)
+    alpha = dmath.alpha_rows(rng.normal(0.0, 20.0, size=(50_000, 3)))
+    for x in (rng.uniform(1e-6, 100.0, size=200_000),
+              np.exp(rng.uniform(np.log(1e-6), np.log(1e6), size=200_000)),
+              alpha.ravel(), alpha.sum(axis=1), np.array([1e-6, 1.0, 2.0, 3.0, 1e6])):
+        assert np.array_equal(sp.zeta(2.0, x).view(np.int64),
+                              sp.polygamma(1, x).view(np.int64))
 
 
 def test_digamma_recurrence():
@@ -53,8 +67,7 @@ def test_digamma_recurrence():
 
 def test_trigamma_recurrence():
     x = np.random.default_rng(1).uniform(0.5, 100.0, size=200)
-    assert np.all(np.abs(sp.polygamma(1, x + 1.0) - sp.polygamma(1, x) + 1.0 / x**2)
-                  < 1e-12)
+    assert np.all(np.abs(sp.zeta(2.0, x + 1.0) - sp.zeta(2.0, x) + 1.0 / x**2) < 1e-12)
 
 
 def test_dirichlet_params_validation():
@@ -150,15 +163,92 @@ def test_diff_entropy_grad_finite_difference():
     rng = np.random.default_rng(11)
     h = 1e-6
     for _ in range(10):
-        d = random_alpha(rng)
-        g = dmath.diff_entropy_grad_rows(d.alpha[None, :])[0]
-        for i in range(d.alpha.size):
-            up = d.alpha.copy()
-            dn = d.alpha.copy()
-            up[i] += h
-            dn[i] -= h
-            fd = (diff_entropy(up) - diff_entropy(dn)) / (2.0 * h)
+        f = rng.uniform(-10.0, 40.0, size=(1, int(rng.integers(2, 6))))
+        f[np.abs(f) < 0.01] = 0.5  # off the relu kink
+        g = dmath.diff_entropy_logit_grad_rows(f, dmath.alpha_rows(f))[0]
+        for i in range(f.shape[1]):
+            up, dn = f.copy(), f.copy()
+            up[0, i] += h
+            dn[0, i] -= h
+            fd = (diff_entropy(dmath.alpha_rows(up)[0])
+                  - diff_entropy(dmath.alpha_rows(dn)[0])) / (2.0 * h)
             assert abs(g[i] - fd) < 1e-5 * max(1.0, abs(fd))
+            assert (g[i] == 0.0) == (f[0, i] < 0)
+
+
+# Full-row references: the kernels as written before they skipped work,
+# every special function on every entry, the trigamma as polygamma(1, .).
+
+def _full_diff_entropy_grad_rows(alpha):
+    """d h / d alpha_k = -(alpha_k - 1) psi_1(alpha_k) + (alpha0 - K) psi_1(alpha0)."""
+    a0 = alpha.sum(axis=1)
+    k = alpha.shape[1]
+    return (-(alpha - 1.0) * sp.polygamma(1, alpha)
+            + ((a0 - k) * sp.polygamma(1, a0))[:, None])
+
+
+def _full_kl_rows(a, b):
+    """KL(Dir(a_i) || Dir(b_i)) for each pair of rows."""
+    a0, b0 = a.sum(axis=1), b.sum(axis=1)
+    return (gammaln(a0)
+            - np.sum(gammaln(a), axis=1)
+            - gammaln(b0)
+            + np.sum(gammaln(b), axis=1)
+            + np.sum((a - b) * (sp.digamma(a) - sp.digamma(a0)[:, None]), axis=1))
+
+
+def _full_kl_grad_second_rows(a, b):
+    return (sp.digamma(b) - sp.digamma(b.sum(axis=1))[:, None]
+            - (sp.digamma(a) - sp.digamma(a.sum(axis=1))[:, None]))
+
+
+def _kink_logits(rng, n, k):
+    """Logits with entries exactly 0.0 or -0.0 and a leading row all <= 0."""
+    f = rng.normal(0.0, rng.choice([0.3, 3.0, 300.0]), size=(n, k))
+    f[rng.random(f.shape) < 0.15] = 0.0
+    f[rng.random(f.shape) < 0.05] = -0.0
+    f[0] = -np.abs(f[0])
+    return f
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_diff_entropy_logit_grad_equals_the_full_rows_bit_for_bit():
+    """The trigamma is evaluated only where f > 0; every entry equals the
+    full gradient times the Jacobian, signed zeros included (the full
+    gradient is >= +0 wherever f <= 0)."""
+    rng = np.random.default_rng(43)
+    for i in range(300):
+        f = _kink_logits(rng, int(rng.integers(1, 50)), 2 + i % 7)
+        a = dmath.alpha_rows(f)
+        got = dmath.diff_entropy_logit_grad_rows(f, a)
+        assert same_bits(got, _full_diff_entropy_grad_rows(a) * dmath.alpha_jacobian_rows(f))
+        assert np.all(got[f <= 0] == 0.0)
+        assert same_bits(dmath.diff_entropy_logit_grad_rows(f[:0], a[:0]), np.zeros((0, f.shape[1])))
+
+
+def test_kl_from_a_table_of_first_arguments_equals_the_full_rows_bit_for_bit():
+    """KL(Dir(first[index_i]) || Dir(alpha_i)) and its gradient in alpha_i,
+    with the first arguments' terms computed once per table row, equal the
+    KL and its gradient computed on every row, K = 2-8."""
+    rng = np.random.default_rng(47)
+    for i in range(300):
+        k, n = 2 + i % 7, int(rng.integers(1, 50))
+        first = rng.uniform(0.01, 40.0, size=(int(rng.integers(1, 9)), k))
+        index = rng.integers(0, len(first), size=n)
+        alpha = dmath.alpha_rows(_kink_logits(rng, n, k))
+        kl, grad = dmath.kl_dirichlet_rows(alpha, first, index)
+        assert same_bits(kl, _full_kl_rows(first[index], alpha))
+        assert same_bits(grad, _full_kl_grad_second_rows(first[index], alpha))
+
+
+def test_alpha_jacobian_is_zero_on_the_relu_kink():
+    """alpha = relu(f) + 1 has slope 0 at f = 0 (and -0.0), as at every
+    f < 0, and 1 from the least positive float up."""
+    f = np.array([[0.0, -0.0, 5e-324], [-5e-324, -1.0, 2.0]])
+    assert same_bits(dmath.alpha_jacobian_rows(f), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
 
 
 def test_uncertainty_decomposition_fuzz():
@@ -246,7 +336,7 @@ def test_kl_dirichlet_grads_finite_difference():
     for _ in range(5):
         a = random_alpha(rng, k=4).alpha
         b = random_alpha(rng, k=4).alpha
-        gb = dmath.kl_dirichlet_grad_second_rows(a[None, :], b[None, :])[0]
+        gb = dmath.kl_dirichlet_rows(b[None, :], a[None, :], [0])[1][0]
         for i in range(4):
             up, dn = b.copy(), b.copy()
             up[i] += h
@@ -263,8 +353,9 @@ def _kl_grad_first_rows(a, b):
 
 
 def test_kl_to_the_flat_dirichlet_is_minus_the_differential_entropy():
-    """KL(Dir(a) || Dir(1)) = -h(a) - ln Gamma(K) and d KL / d a = -dh / da,
-    over 2,000 batches of 7 rows, K = 2-8, a up to about 5e5.
+    """KL(Dir(a) || Dir(1)) = -h(a) - ln Gamma(K) and d KL / d a = -dh / da
+    (compared through the Jacobian of a = relu(f) + 1, as dpn uses it), over
+    2,000 batches of 7 rows, K = 2-8, a up to about 5e5.
 
     The value: both sides add the same computed terms, ln Gamma(a0),
     sum_k ln Gamma(a_k) and sum_k (a_k - 1)(psi(a_k) - psi(a0)), and
@@ -290,10 +381,11 @@ def test_kl_to_the_flat_dirichlet_is_minus_the_differential_entropy():
         a0 = a.sum(axis=1)
         s = (gammaln(a0) + np.abs(gammaln(a)).sum(axis=1) + gammaln(k)
              + np.abs((a - 1.0) * (sp.digamma(a) - sp.digamma(a0)[:, None])).sum(axis=1))
-        gap = np.abs(dmath.kl_dirichlet_rows(a, flat)
+        gap = np.abs(dmath.kl_dirichlet_rows(flat, a, np.arange(7))[0]
                      - (-dmath.diff_entropy_rows(a) - math.lgamma(k)))
         assert np.all(gap <= 8.0 * eps * s)
-        gap = np.abs(_kl_grad_first_rows(a, flat) + dmath.diff_entropy_grad_rows(a))
+        gap = np.abs(_kl_grad_first_rows(a, flat) * dmath.alpha_jacobian_rows(f)
+                     + dmath.diff_entropy_logit_grad_rows(f, a))
         assert np.all(gap <= 4.0 * (k + 2) * eps)
 
 
@@ -332,13 +424,14 @@ def test_row_kernels_batch_rows_equal_each_row_alone(data, n, k):
     def kernels(f, g):
         a = dmath.alpha_rows(f)
         b = dmath.alpha_rows(g)
+        kl, kl_grad = dmath.kl_dirichlet_rows(b, a, np.arange(len(a)))
         return {
             "alpha": a,
             "jacobian": dmath.alpha_jacobian_rows(f),
             "diff_entropy": dmath.diff_entropy_rows(a),
-            "diff_entropy_grad": dmath.diff_entropy_grad_rows(a),
-            "kl": dmath.kl_dirichlet_rows(a, b),
-            "kl_grad_second": dmath.kl_dirichlet_grad_second_rows(a, b),
+            "diff_entropy_logit_grad": dmath.diff_entropy_logit_grad_rows(f, a),
+            "kl": kl,
+            "kl_grad": kl_grad,
             "total_uncertainty": dmath.total_uncertainty_rows(a),
         }
 
@@ -357,4 +450,4 @@ def test_row_kernels_reject_bad_input():
     with pytest.raises(ValueError):
         dmath.alpha_rows(np.array([[0.0, np.inf]]))
     with pytest.raises(ValueError):
-        dmath.kl_dirichlet_rows(np.ones((2, 3)), np.ones((2, 4)))
+        dmath.kl_dirichlet_rows(np.ones((2, 3)), np.ones((3, 4)), [0, 1])

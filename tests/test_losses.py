@@ -49,7 +49,12 @@ def term_params(keep=lambda name: True):
 
 
 def term(name):
-    return next(p.values[2] for p in term_params(lambda n: n == name))
+    """The named term; an outlier term is called as (spec, ID logits,
+    outlier logits, frozen outlier logits or None)."""
+    _, i, fn = next(p.values for p in term_params(lambda n: n == name))
+    if i == 0:
+        return fn
+    return lambda spec, fi, fo, f0: fn(spec, fi, losses._Outliers(fo, f0))
 
 
 def call_term(i, fn, spec, fi, y, fo, f0):
@@ -58,7 +63,7 @@ def call_term(i, fn, spec, fi, y, fo, f0):
     if i == 0:
         value, gi = fn(spec, fi, y)
         return value, gi, np.zeros_like(fo)
-    value, gi, go = fn(spec, fi, fo, f0)
+    value, gi, go = fn(spec, fi, losses._Outliers(fo, f0))
     return value, np.zeros_like(fi) if gi is None else gi, go
 
 
@@ -423,9 +428,160 @@ def test_loss_backward_matches_finite_differences(kind):
     assert_close_grads(flat, fd, tol=1e-4)
 
 
-# Per-row references of the Dirichlet terms: the row kernels run on
-# one-row slices, one distribution per logit row, accumulated in a Python
-# loop.
+# Full-row references: the Dirichlet kernels and terms as written before
+# the terms skipped work, every special function on every row and entry,
+# the trigamma as polygamma(1, .), and the targets built per row.
+
+def _full_kl_rows(a, b):
+    """KL(Dir(a_i) || Dir(b_i)) for each pair of rows."""
+    a0, b0 = a.sum(axis=1), b.sum(axis=1)
+    return (special.gammaln(a0)
+            - np.sum(special.gammaln(a), axis=1)
+            - special.gammaln(b0)
+            + np.sum(special.gammaln(b), axis=1)
+            + np.sum((a - b) * (special.digamma(a) - special.digamma(a0)[:, None]), axis=1))
+
+
+def _full_kl_grad_second_rows(a, b):
+    return (special.digamma(b) - special.digamma(b.sum(axis=1))[:, None]
+            - (special.digamma(a) - special.digamma(a.sum(axis=1))[:, None]))
+
+
+def _full_diff_entropy_grad_rows(alpha):
+    a0 = alpha.sum(axis=1)
+    k = alpha.shape[1]
+    return (-(alpha - 1.0) * special.polygamma(1, alpha)
+            + ((a0 - k) * special.polygamma(1, a0))[:, None])
+
+
+def _targets(y, k, spec):
+    t = np.full((len(y), k), spec.smoothing / k)
+    t[np.arange(len(y)), y] += 1.0 - spec.smoothing
+    return spec.target_alpha0 * t
+
+
+def _full_dpn_target(spec, f, y):
+    n = f.shape[0]
+    target, pred = _targets(y, f.shape[1], spec), dmath.alpha_rows(f)
+    grad = (_full_kl_grad_second_rows(target, pred) * dmath.alpha_jacobian_rows(f)) / n
+    return np.sum(_full_kl_rows(target, pred)) / n, grad
+
+
+def _full_dpn_flat(spec, fo, f0):
+    m, k = fo.shape
+    a = dmath.alpha_rows(fo)
+    go = -_full_diff_entropy_grad_rows(a) * dmath.alpha_jacobian_rows(fo) / m
+    return -(np.sum(dmath.diff_entropy_rows(a)) / m) - math.lgamma(k), go
+
+
+def _full_dul_hinge(spec, fo, f0):
+    a, a_frozen, jac = dmath.alpha_rows(fo), dmath.alpha_rows(f0), dmath.alpha_jacobian_rows(fo)
+    hinge = np.maximum(0.0, (dmath.diff_entropy_rows(a_frozen) + spec.dul_margin)
+                       - dmath.diff_entropy_rows(a))
+    slope = np.where(hinge > 0, -1.0, 0.0)
+    galpha = slope[:, None] * _full_diff_entropy_grad_rows(a)
+    return spec.lam * np.sum(hinge) / len(fo), spec.lam * (galpha * jac) / len(fo)
+
+
+def _full_dul_anchor(spec, fo, f0):
+    a, a_frozen, jac = dmath.alpha_rows(fo), dmath.alpha_rows(f0), dmath.alpha_jacobian_rows(fo)
+    a0 = a.sum(axis=1)
+    p = a / a0[:, None]
+    p0 = a_frozen / a_frozen.sum(axis=1, keepdims=True)
+    lr = np.log(p) - np.log(p0)
+    kl = np.sum(p * lr, axis=1)
+    galpha = (lr - kl[:, None]) / a0[:, None]
+    return spec.gamma * np.sum(kl) / len(fo), spec.gamma * (galpha * jac) / len(fo)
+
+
+FULL_OUTLIER_TERMS = {"dpn_flat": _full_dpn_flat, "dul_hinge": _full_dul_hinge,
+                      "dul_anchor": _full_dul_anchor}
+
+
+def _batches(seed, count):
+    """(ID logits, labels, outlier logits, frozen outlier logits) for
+    K = 2-8, each with entries exactly 0.0 or -0.0 (the relu kink) and
+    leading rows whose logits are all <= 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = 2 + i % 7
+        n, m = int(rng.integers(1, 40)), int(rng.integers(2, 60))
+        scale = rng.choice([0.3, 3.0, 30.0])
+        fi, fo, f0 = (rng.normal(0.0, scale, size=(r, k)) for r in (n, m, m))
+        for f in (fi, fo, f0):
+            f[rng.random(f.shape) < 0.1] = 0.0
+            f[rng.random(f.shape) < 0.05] = -0.0
+            lead = max(1, len(f) // 8)
+            f[:lead] = -np.abs(f[:lead])
+        yield fi, rng.integers(0, k, size=n), fo, f0
+
+
+def test_dirichlet_terms_equal_the_full_row_formulas():
+    """Each Dirichlet term skips work whose result was multiplied by 0 (the
+    trigamma where f <= 0 or the hinge is inactive) and computes dpn's
+    target terms once per label, with the same value bit for bit and an
+    equal gradient, on batches where every hinge row is active, none is,
+    and a mix. Skipping a product 0 * x leaves +0.0 where x < 0 gave -0.0;
+    np.array_equal counts the two as equal, and the recorded checkpoint
+    hashes show that no trained parameter moved."""
+    cases = set()
+    for fi, y, fo, f0 in _batches(37, 140):
+        spec = LossSpec("dul", **SPEC)
+        value, grad = term("dpn_target")(spec, fi, y)
+        want_value, want_grad = _full_dpn_target(spec, fi, y)
+        assert value == want_value and np.array_equal(grad, want_grad)
+        h, h0 = (dmath.diff_entropy_rows(dmath.alpha_rows(f)) for f in (fo, f0))
+        for margin in (-100.0, 0.4, 100.0):  # entropy gaps here lie well within 100 nats
+            active = np.count_nonzero((h0 + margin) - h > 0)
+            cases.add("all" if active == len(fo) else "mix" if active else "none")
+            spec = LossSpec("dul", **{**SPEC, "dul_margin": margin})
+            for name, full in FULL_OUTLIER_TERMS.items():
+                value, gi, go = term(name)(spec, None, fo, f0)
+                want_value, want_go = full(spec, fo, f0)
+                assert gi is None and value == want_value, name
+                assert np.array_equal(go, want_go), name
+    assert cases == {"all", "mix", "none"}
+
+
+@pytest.mark.parametrize("kind,i,fn", term_params(
+    lambda n: n in ("dirichlet_ce", "dpn_target", "dpn_flat", "dul_hinge", "dul_anchor")))
+def test_dirichlet_term_gradients_are_zero_on_the_relu_kink(kind, i, fn):
+    """Every Dirichlet term's logit gradient is exactly 0 on an entry at
+    f = 0 (or -0.0), in rows whose other entries are positive and move the
+    gradient; dul's hinge is active on every row here."""
+    rng = np.random.default_rng(73)
+    spec = LossSpec(kind, **{**SPEC, "dul_margin": 100.0})
+    fi, fo, f0 = (np.abs(rng.normal(0.0, 2.0, size=(12, 4))) + 0.1 for _ in range(3))
+    for f in (fi, fo):
+        f[np.arange(12), np.arange(12) % 4] = 0.0
+        f[::3, (np.arange(12)[::3] + 1) % 4] = -0.0
+    value, gi, go = call_term(i, fn, spec, fi, rng.integers(0, 4, size=12), fo, f0)
+    g, f = (gi, fi) if i == 0 else (go, fo)
+    kink = f == 0
+    assert np.all(g[kink] == 0.0) and np.all(g[~kink] != 0.0)
+
+
+def test_dul_terms_share_one_alpha_per_logits_array(monkeypatch):
+    """A dul step maps each logits array (ID, outlier, frozen) to alpha once
+    and takes the Jacobian of the ID and the outlier logits once each, however
+    many terms read them."""
+    calls = {"alpha_rows": [], "alpha_jacobian_rows": []}
+    for name, seen in calls.items():
+        def counted(f, _fn=getattr(dmath, name), _seen=seen):
+            _seen.append(id(f))
+            return _fn(f)
+        monkeypatch.setattr(dmath, name, counted)
+    rng = np.random.default_rng(79)
+    m, frozen = mlp_init((2, 6, 3), seed=8), mlp_init((2, 6, 3), seed=9)
+    losses.loss_backward(m, Batch(rng.standard_normal((5, 2)), rng.integers(0, 3, size=5)),
+                         LossSpec("dul"), ood_batch=Batch(rng.standard_normal((6, 2))),
+                         frozen=frozen)
+    assert len(calls["alpha_rows"]) == len(set(calls["alpha_rows"])) == 3
+    assert len(calls["alpha_jacobian_rows"]) == len(set(calls["alpha_jacobian_rows"])) == 2
+
+
+# Per-row references of the Dirichlet terms: the kernels run on one-row
+# slices, one distribution per logit row, accumulated in a Python loop.
 
 def _row_dirichlet_ce(f, y):
     n = f.shape[0]
@@ -438,16 +594,14 @@ def _row_dirichlet_ce(f, y):
     return value / n, grad
 
 
-def _row_dpn_target(fi, y, target_alpha0, smoothing):
+def _row_dpn_target(fi, y, spec):
     n, k = fi.shape
     value, gi = 0.0, np.zeros_like(fi)
     for i in range(n):
         pred = dmath.alpha_rows(fi[i:i + 1])
-        t = np.full((1, k), smoothing / k)
-        t[0, y[i]] += 1.0 - smoothing
-        target = target_alpha0 * t
-        value += dmath.kl_dirichlet_rows(target, pred)[0]
-        gi[i] = (dmath.kl_dirichlet_grad_second_rows(target, pred)[0]
+        target = _targets(y[i:i + 1], k, spec)
+        value += _full_kl_rows(target, pred)[0]
+        gi[i] = (_full_kl_grad_second_rows(target, pred)[0]
                  * dmath.alpha_jacobian_rows(fi[i:i + 1])[0])
     return value / n, gi / n
 
@@ -458,7 +612,7 @@ def _row_dpn_flat(fo):
     for j in range(m):
         a = dmath.alpha_rows(fo[j:j + 1])
         value += -dmath.diff_entropy_rows(a)[0]
-        go[j] = -dmath.diff_entropy_grad_rows(a)[0] * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]
+        go[j] = -_full_diff_entropy_grad_rows(a)[0] * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]
     return value / m - math.lgamma(k), go / m
 
 
@@ -471,7 +625,7 @@ def _row_dul_hinge(fo, f0, lam, margin):
                           + margin) - dmath.diff_entropy_rows(a)[0])
         value += hinge
         if hinge > 0:
-            galpha = -dmath.diff_entropy_grad_rows(a)[0]
+            galpha = -_full_diff_entropy_grad_rows(a)[0]
             go[j] = lam * (galpha * dmath.alpha_jacobian_rows(fo[j:j + 1])[0]) / m
     return lam * value / m, go
 
@@ -527,18 +681,6 @@ def test_dirichlet_ce_is_the_cross_entropy_of_the_dirichlet_mean():
                       * (1.0 / (n * a0[:, None]) + np.abs(want_grad)))
 
 
-def _random_batches(seed, count=25):
-    """Logit batches with some entries exactly on the relu kink at 0."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        k = int(rng.integers(2, 7))
-        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 60))
-        fi, fo, f0 = (rng.normal(0.0, 3.0, size=(r, k)) for r in (n, m, m))
-        for f in (fi, fo, f0):
-            f[rng.random(f.shape) < 0.1] = 0.0
-        yield fi, rng.integers(0, k, size=n), fo, f0
-
-
 def _same_value(got, want):
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -546,11 +688,11 @@ def _same_value(got, want):
 def test_dirichlet_losses_match_per_row_reference():
     spec = LossSpec("dul", lam=3.0, gamma=30.0, dul_margin=0.4, target_alpha0=15.0,
                     smoothing=0.01)
-    for fi, y, fo, f0 in _random_batches(53):
+    for fi, y, fo, f0 in _batches(53, 28):
         for (value, grad), (want_value, want_grad) in [
                 (term("dirichlet_ce")(spec, fi, y), _row_dirichlet_ce(fi, y)),
                 (term("dpn_target")(spec, fi, y),
-                 _row_dpn_target(fi, y, spec.target_alpha0, spec.smoothing))]:
+                 _row_dpn_target(fi, y, spec))]:
             assert np.array_equal(grad, want_grad)
             _same_value(value, want_value)
         for name, want_value, want_go in [
