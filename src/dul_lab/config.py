@@ -80,7 +80,6 @@ class TrainConfig:
     n_sem_test: int = _key("data", 1500)
     n_eval_id: int = _key("data", 1500)
     eps_grid: tuple = _key("data", (0.0, 0.625, 1.25, 1.875, 2.5, 3.125))
-    cov_eval_eps: float = _key("data", 3.125)
 
     def __post_init__(self):
         for f in fields(self):
@@ -112,18 +111,13 @@ class TrainConfig:
             raise ValueError("n_per_class, n_sem_train and n_sem_test must be >= 1")
         if self.n_eval_id < 1 or self.n_eval_id % self.k:
             raise ValueError("n_eval_id must be a positive multiple of k")
-        if not self.eps_grid or self.eps_grid[0] != 0.0:
-            raise ValueError("eps_grid must start at 0.0, the clean ID set "
-                             "that noise_sweep measures shifted_du from")
-        if min(self.eps_grid) < 0:
-            raise ValueError("eps_grid must be nonnegative")
-        if len(set(self.eps_grid)) != len(self.eps_grid):
-            raise ValueError("eps_grid values must be distinct")
-        if max(self.eps_grid) > EPS_MAX:
+        grid = self.eps_grid
+        if not grid or grid[0] != 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("eps_grid must increase strictly from 0.0, the clean ID "
+                             "set; evaluate reads its last value as the strongest shift")
+        if grid[-1] > EPS_MAX:
             raise ValueError(f"eps_grid values must be at most {EPS_MAX:g}: noise "
                              "that large carries no class signal")
-        if self.cov_eval_eps not in self.eps_grid:
-            raise ValueError("cov_eval_eps must be one of eps_grid")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         check_sem_separation(self.k, self.sigma)
@@ -131,6 +125,16 @@ class TrainConfig:
         # dilemma_table and the full verify run dpn whatever method says
         if self.target_alpha0 <= self.k:
             raise ValueError("target_alpha0 must exceed k")
+        # dpn's smallest target concentration t gives each off-label logit the
+        # gradient -digamma(t) ~ 1/t, so before tanh saturates a step moves the
+        # top layer by about lr/t and each layer below by lr/t times the ones
+        # above: within L steps the bottom of L layers by (lr/t)^(2^(L-1)). That
+        # and 1/t must fit in half of float64's exponent range (README).
+        t, big = self.target_alpha0 * self.smoothing / self.k, np.finfo(float).max
+        t_min = max(self.finetune_lr0 * big ** -(0.5 ** (len(self.arch) - 1)), big ** -0.5)
+        if t < t_min:
+            raise ValueError(f"target_alpha0 * smoothing / k = {t:.3g}, dpn's smallest "
+                             f"target concentration, must be at least {t_min:.3g}")
 
     def with_(self, **kwargs) -> "TrainConfig":
         return replace(self, **kwargs)

@@ -149,12 +149,12 @@ def _dpn_target(spec, f, y):
 
 
 class _Outliers:
-    """One step's outlier logits f, the frozen model's logits on the same
-    points (None without a frozen model), and their concentrations, each
-    computed at most once however many terms read them."""
+    """One step's outlier logits f, the frozen model (or None) that only a
+    term reading alpha_frozen forwards on the outlier batch, and both
+    concentrations, each computed at most once however many terms read it."""
 
-    def __init__(self, f, frozen):
-        self.f, self.frozen = f, frozen
+    def __init__(self, f, frozen, batch):
+        self.f, self.frozen, self.batch = f, frozen, batch
 
     @cached_property
     def alpha(self):
@@ -165,9 +165,10 @@ class _Outliers:
         """The frozen model's concentrations, constants of dul's terms."""
         if self.frozen is None:
             raise ValueError("dul needs the frozen pretrained model")
-        if self.frozen.shape != self.f.shape:
+        f0 = self.frozen.forward(self.batch)
+        if f0.shape != self.f.shape:
             raise ValueError("current and frozen outlier logits must share a shape")
-        return dmath.alpha_rows(self.frozen)
+        return dmath.alpha_rows(f0)
 
 
 # Outlier terms, weighted: (spec, ID logits, _Outliers) -> (value, ID
@@ -254,7 +255,7 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
                   frozen: Mlp | None = None):
     """Value and exact parameter gradients of spec's objective, its terms
     summed in table order. A kind with outlier terms needs an outlier batch,
-    and dul the frozen pretrained model, forwarded on it whenever given."""
+    and dul the frozen pretrained model, which only dul's terms forward."""
     if id_batch.labels is None:
         raise ValueError("ID batch must be labeled")
     base, *terms = OBJECTIVES[spec.kind]
@@ -265,8 +266,7 @@ def loss_backward(m: Mlp, id_batch: Batch, spec: LossSpec,
     if ood_batch is None:
         raise ValueError(f"loss kind {spec.kind!r} needs an outlier batch")
     ood_logits, ood_cache = m.forward_cache(ood_batch.points)
-    frozen_logits = None if frozen is None else frozen.forward(ood_batch)
-    out = _Outliers(ood_logits, frozen_logits)
+    out = _Outliers(ood_logits, frozen, ood_batch)
     values, gis, gos = zip(*(term(spec, id_logits, out) for term in terms))
     gi = sum((g for g in gis if g is not None), gi)
     go = sum(gos[1:], gos[0])

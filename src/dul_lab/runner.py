@@ -60,26 +60,26 @@ def _loss_spec(cfg: TrainConfig) -> LossSpec:
         {"oe": "oe", "energy": "energy_margin", "dpn": "dpn", "dul": "dul"}[cfg.method])
 
 
-def _train_loop(model: Mlp, cfg: TrainConfig, id_data: Batch,
-                spec: LossSpec, epochs: int, lr0: float,
-                sem_data: Batch | None = None,
-                frozen: Mlp | None = None) -> Mlp:
+def _train_loop(start: Mlp, cfg: TrainConfig, spec: LossSpec, epochs: int,
+                lr0: float) -> Mlp:
+    id_data, sem_data = make_datasets(cfg)
+    draws_outliers = len(lossmod.OBJECTIVES[spec.kind]) > 1
     rng = substream(cfg.seed, cfgmod.STREAM_BATCH)
-    velocity = None
+    model, velocity = start, None
     n = id_data.n
     for epoch in range(epochs):
         lr = cosine_lr(epoch, epochs, lr0)
         order = rng.permutation(n)
-        for step, start in enumerate(range(0, n, cfg.batch_id)):
-            idx = order[start:start + cfg.batch_id]
+        for step, first in enumerate(range(0, n, cfg.batch_id)):
+            idx = order[first:first + cfg.batch_id]
             batch = Batch(id_data.points[idx], id_data.labels[idx])
             ood_batch = None
-            if sem_data is not None:
+            if draws_outliers:
                 oidx = rng.integers(0, sem_data.n, size=cfg.batch_ood)
                 ood_batch = Batch(sem_data.points[oidx])
             value, grads = lossmod.loss_backward(model, batch, spec,
                                                  ood_batch=ood_batch,
-                                                 frozen=frozen)
+                                                 frozen=start)
             if not math.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite {spec.kind} loss {value} at epoch {epoch}, step {step}")
@@ -89,30 +89,24 @@ def _train_loop(model: Mlp, cfg: TrainConfig, id_data: Batch,
 
 def pretrain(cfg: TrainConfig) -> Mlp:
     """Cross-entropy training on ID blobs."""
-    id_train, _ = make_datasets(cfg)
-    model = mlp_init(cfg.arch, seed=stream_key(cfg.seed, cfgmod.STREAM_INIT))
-    return _train_loop(model, cfg, id_train, LossSpec(kind="ce"),
-                       cfg.pretrain_epochs, cfg.lr0)
+    return _train_loop(mlp_init(cfg.arch, seed=stream_key(cfg.seed, cfgmod.STREAM_INIT)),
+                       cfg, LossSpec(kind="ce"), cfg.pretrain_epochs, cfg.lr0)
 
 
 def finetune(cfg: TrainConfig, pretrained: Mlp) -> Mlp:
-    """Finetune with the configured method's objective; the pretrained model
-    stays frozen as the reference for dul."""
+    """Finetune with the configured method's objective from the pretrained
+    model, which stays frozen as the reference for dul."""
     if cfg.method == "none":
         raise ValueError("finetune requires a method other than 'none'")
-    id_train, sem_train = make_datasets(cfg)
-    spec = _loss_spec(cfg)
-    frozen = pretrained if cfg.method == "dul" else None
-    return _train_loop(pretrained, cfg, id_train, spec,
-                       cfg.finetune_epochs, cfg.finetune_lr0,
-                       sem_data=sem_train, frozen=frozen)
+    return _train_loop(pretrained, cfg, _loss_spec(cfg), cfg.finetune_epochs,
+                       cfg.finetune_lr0)
 
 
 def evaluate(cfg: TrainConfig, model: Mlp) -> EvalReport:
     """Detection metrics for every scoring method on held-out data, plus
-    ID/COV accuracy and mean uncertainty statistics."""
+    ID and COV accuracy and mean uncertainties, COV at the last eps."""
     id_eval, cov, sem_test = make_eval_datasets(cfg)
-    cov_eval = cov[cfg.cov_eval_eps]
+    cov_eval = cov[cfg.eps_grid[-1]]
     id_logits, cov_logits, sem_logits = (model.forward(d)
                                          for d in (id_eval, cov_eval, sem_test))
     detection = {}

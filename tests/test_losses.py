@@ -48,13 +48,29 @@ def term_params(keep=lambda name: True):
             for i, fn in enumerate(row) if keep(fn.__name__[1:])]
 
 
+class _FrozenLogits:
+    """A frozen model whose forward returns fixed logits, whatever the batch."""
+
+    def __init__(self, f0):
+        self.f0 = f0
+
+    def forward(self, batch):
+        return self.f0
+
+
+def outliers(fo, f0):
+    """The outlier context of outlier logits fo and frozen outlier logits
+    f0 (None: no frozen model)."""
+    return losses._Outliers(fo, None if f0 is None else _FrozenLogits(f0), None)
+
+
 def term(name):
     """The named term; an outlier term is called as (spec, ID logits,
     outlier logits, frozen outlier logits or None)."""
     _, i, fn = next(p.values for p in term_params(lambda n: n == name))
     if i == 0:
         return fn
-    return lambda spec, fi, fo, f0: fn(spec, fi, losses._Outliers(fo, f0))
+    return lambda spec, fi, fo, f0: fn(spec, fi, outliers(fo, f0))
 
 
 def call_term(i, fn, spec, fi, y, fo, f0):
@@ -63,7 +79,7 @@ def call_term(i, fn, spec, fi, y, fo, f0):
     if i == 0:
         value, gi = fn(spec, fi, y)
         return value, gi, np.zeros_like(fo)
-    value, gi, go = fn(spec, fi, losses._Outliers(fo, f0))
+    value, gi, go = fn(spec, fi, outliers(fo, f0))
     return value, np.zeros_like(fi) if gi is None else gi, go
 
 

@@ -3,6 +3,7 @@
 import ast
 import errno
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -56,30 +57,43 @@ def test_config_validation():
                 dict(smoothing=-0.1), dict(lam=-1.0), dict(k=1, arch=(2, 8, 1)),
                 dict(n_per_class=0), dict(n_sem_train=0), dict(n_sem_test=0),
                 dict(n_eval_id=100), dict(n_eval_id=0), dict(sigma=5.0),
-                dict(k=6, arch=(2, 8, 6)), dict(cov_eval_eps=1.0),
-                dict(eps_grid=(0.0, -1.0), cov_eval_eps=0.0),
+                dict(k=6, arch=(2, 8, 6)), dict(eps_grid=(0.0, -1.0)),
                 dict(lr0=float("nan")), dict(momentum=float("inf")),
                 dict(seed=-1), dict(seed=2**120),
-                dict(eps_grid=(0.0, float("nan")), cov_eval_eps=0.0),
-                dict(eps_grid=(0.0, 0.5, 0.5), cov_eval_eps=0.5),
+                dict(eps_grid=(0.0, float("nan"))),
+                dict(eps_grid=(0.0, 0.5, 0.5)), dict(eps_grid=(0.0, 1.0, 0.5)),
                 # unbounded, noise that large carries no class signal and
                 # fails after training once the first layer's sums overflow
                 # (logits must be finite)
-                dict(eps_grid=(0.0, 1e300), cov_eval_eps=0.0),
-                dict(eps_grid=(0.0, 1.7e308), cov_eval_eps=0.0),
-                dict(eps_grid=(0.0, np.nextafter(config.EPS_MAX, np.inf)),
-                     cov_eval_eps=0.0),
+                dict(eps_grid=(0.0, 1e300)),
+                dict(eps_grid=(0.0, 1.7e308)),
+                dict(eps_grid=(0.0, np.nextafter(config.EPS_MAX, np.inf))),
                 # momentum failed at the first SGD step; a negative sigma
                 # generated mirrored noise without a word
                 dict(momentum=1.5), dict(momentum=-0.1), dict(sigma=-0.75)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
     # tiny noise computes finite numbers, and the bound itself is allowed
-    TrainConfig(eps_grid=(0.0, 1e-300, config.EPS_MAX), cov_eval_eps=0.0)
+    TrainConfig(eps_grid=(0.0, 1e-300, config.EPS_MAX))
+
+
+def test_dpn_target_concentration_bound():
+    """dpn's smallest target concentration t = target_alpha0 * smoothing / k
+    must be at least max(finetune_lr0 * MAX^(-1/2^L), MAX^(-1/2)) for L weight
+    layers, so it is checked with the learning rate and the depth."""
+    big = np.finfo(float).max
+    assert TrainConfig().smoothing * TrainConfig().target_alpha0 / 3 == pytest.approx(0.05)
+    for arch, lr in (((2, 8, 2), 0.01), ((2, 8, 8, 2), 1e3), ((2, 8, 2), 1e-200)):
+        t_min = max(lr * big ** -(0.5 ** (len(arch) - 1)), big ** -0.5)
+        # k = 2 and target_alpha0 = 4 make t = 2 * smoothing exactly: the bound itself loads
+        keys = dict(arch=arch, k=2, finetune_lr0=lr, target_alpha0=4.0)
+        assert TrainConfig(**keys, smoothing=t_min / 2).smoothing == t_min / 2
+        with pytest.raises(ValueError, match="smallest target concentration"):
+            TrainConfig(**keys, smoothing=np.nextafter(t_min / 2, 0.0))
 
 
 def test_config_round_trip(tmp_path):
-    cfg = TINY.with_(method="dul", lam=1.25, eps_grid=(0.0, 0.5), cov_eval_eps=0.5)
+    cfg = TINY.with_(method="dul", lam=1.25, eps_grid=(0.0, 0.5))
     path = tmp_path / "run.ini"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -116,7 +130,6 @@ n_sem_train = 1500
 n_sem_test = 1500
 n_eval_id = 1500
 eps_grid = 0.0 0.625 1.25 1.875 2.5 3.125
-cov_eval_eps = 3.125
 
 """
 
@@ -135,7 +148,7 @@ NON_DEFAULT = dict(
     gamma=10.0, m_in=-10.0, m_out=-3.0, dul_margin=0.3,
     target_alpha0=20.0, smoothing=0.05, k=2,
     n_per_class=100, radius=5.0, sigma=0.5, n_sem_train=300, n_sem_test=200,
-    n_eval_id=300, eps_grid=(0.0, 1.5, 3.125), cov_eval_eps=2.5,
+    n_eval_id=300, eps_grid=(0.0, 1.5, 3.125),
 )
 COMPANIONS = {"k": dict(arch=(2, 64, 64, 2))}
 
@@ -167,6 +180,64 @@ def test_any_config_that_constructs_pretrains(k, hidden, n_per_class,
         assume(False)
     model = runner.pretrain(cfg)
     assert model.out_dim == k
+
+
+def _log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: float(10.0 ** e))
+
+
+# every key, drawn wide: the loss and optimizer keys mostly log-uniform,
+# the sizes tiny so that one example trains in tens of milliseconds
+ANY_KEY = dict(
+    seed=st.integers(0, 2**64), hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2),
+    pretrain_epochs=st.integers(1, 3), finetune_epochs=st.integers(1, 3),
+    lr0=_log_uniform(1e-4, 1e3), finetune_lr0=_log_uniform(1e-4, 1e3),
+    momentum=st.floats(0.0, 0.999), batch_id=st.integers(1, 64),
+    batch_ood=st.integers(1, 64), method=st.sampled_from(config.METHODS),
+    lam=_log_uniform(1e-6, 1e6), gamma=_log_uniform(1e-6, 1e6),
+    m_in=st.floats(-1e3, 1e3), m_out=st.floats(-1e3, 1e3), dul_margin=st.floats(-1e3, 1e3),
+    target_alpha0=_log_uniform(3.0, 1e12), smoothing=_log_uniform(1e-300, 0.49),
+    k=st.integers(2, 5), n_per_class=st.integers(1, 40), radius=_log_uniform(1e-3, 1e3),
+    sigma=st.floats(0.0, 1.0), n_sem_train=st.integers(1, 60), n_sem_test=st.integers(1, 60),
+    n_eval_per_class=st.integers(1, 20),
+    eps=st.lists(_log_uniform(1e-6, config.EPS_MAX), max_size=4, unique=True),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@example(**{**dict(seed=5, hidden=[8], pretrain_epochs=3, finetune_epochs=2, lr0=0.05,
+                   finetune_lr0=0.01, momentum=0.9, batch_id=32, batch_ood=32,
+                   method="none", k=3, n_per_class=40, radius=4.0, sigma=0.75,
+                   n_sem_train=60, n_sem_test=60, n_eval_per_class=20, eps=[3.125]),
+            **{f.name: f.default for f in fields(LossSpec)[1:]}, "smoothing": 1e-300})
+@given(**ANY_KEY)
+def test_any_config_that_loads_trains_every_method_to_finite_reports(
+        hidden, k, n_eval_per_class, eps, **keys):
+    """Every config that loads pretrains, finetunes with every method and
+    evaluates to finite numbers, energy's divergence (below) aside: a config
+    that would stop mid-training or report a non-finite value must fail at
+    load instead. The example is a tiny config with smoothing = 1e-300,
+    whose dpn finetune once stopped with a non-finite loss at step 1."""
+    try:
+        cfg = TrainConfig(arch=(2, *hidden, k), k=k, n_eval_id=k * n_eval_per_class,
+                          eps_grid=(0.0, *sorted(eps)), **keys)
+    except ValueError:
+        assume(False)
+    base = runner.pretrain(cfg)
+    for method in config.METHODS:
+        try:
+            model = base if method == "none" else runner.finetune(cfg.with_(method=method), base)
+        except FloatingPointError as exc:
+            # energy_margin's squared hinges have a gradient that grows with
+            # the hinge, so a large finetune_lr0 * lam can diverge on the
+            # data, which no check at load can foresee; the guard names it
+            assert str(exc).startswith("non-finite energy_margin loss"), exc
+            continue
+        report = runner.evaluate(cfg, model)
+        values = [*(v for d in report.detection.values() for v in d), report.id_acc,
+                  report.cov_acc, *(v for u in report.uncertainty for v in u),
+                  *(v for row in runner.noise_sweep(cfg, model) for v in row.values())]
+        assert np.all(np.isfinite(values)), method
 
 
 def test_loss_keys_are_loss_spec_fields():
@@ -295,8 +366,43 @@ def _count_forwards(monkeypatch) -> list:
     return calls
 
 
+def test_evaluate_reads_cov_at_the_last_eps():
+    """evaluate's COV accuracy and uncertainties are noise_sweep's last row,
+    bit for bit: one number, one definition."""
+    cfg = TINY.with_(eps_grid=(0.0, 0.5, 2.0))
+    model = runner.pretrain(cfg)
+    report, last = runner.evaluate(cfg, model), runner.noise_sweep(cfg, model)[-1]
+    assert last["eps"] == 2.0
+    assert report.cov_acc == last["cov_acc"]
+    assert report.uncertainty[1] == (last["mean_du"], last["mean_total"])
+
+
+@pytest.mark.parametrize("method", ["oe", "energy", "dpn", "dul"])
+def test_only_dul_forwards_the_start_model(monkeypatch, method):
+    """Every finetune step gets the model training started from as the
+    frozen reference; only dul's terms read it, one forward a step."""
+    base = runner.pretrain(TINY)
+    calls = []
+    real = Mlp.forward
+    monkeypatch.setattr(Mlp, "forward",
+                        lambda self, batch: calls.append(self is base) or real(self, batch))
+    runner.finetune(TINY.with_(method=method), base)
+    steps = TINY.finetune_epochs * math.ceil(TINY.k * TINY.n_per_class / TINY.batch_id)
+    assert calls == ([True] * steps if method == "dul" else [])
+
+
+def test_only_outlier_objectives_draw_outlier_batches():
+    """The ce pretrain draws no outlier batch from the batch stream, so its
+    model does not depend on batch_ood; an oe finetune's does."""
+    base = runner.pretrain(TINY)
+    assert np.array_equal(base.get_flat(), runner.pretrain(TINY.with_(batch_ood=7)).get_flat())
+    assert not np.array_equal(
+        *(runner.finetune(TINY.with_(method="oe", batch_ood=n), base).get_flat()
+          for n in (32, 7)))
+
+
 def test_evaluate_forwards_each_point_set_once(monkeypatch):
-    # id_eval, cov[cov_eval_eps] and sem_test
+    # id_eval, cov[eps_grid[-1]] and sem_test
     model = mlp_init(TINY.arch, seed=3)
     calls = _count_forwards(monkeypatch)
     runner.evaluate(TINY, model)
@@ -612,19 +718,25 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     "[train]\nactivation = relu\n",
     "[train]\nactivation = tanh\n",
     "[train]\nactivation = gelu\n",
+    # evaluate reads the last eps_grid value; these bad grids exit 2 on the
+    # deleted key first
+    "[data]\ncov_eval_eps = 1.0\n",
+    "[data]\neps_grid = 0 0.5 0.5\ncov_eval_eps = 0.5\n",
+    "[data]\neps_grid = 0 1.7e308\ncov_eval_eps = 0\n",
     "lr0 = 0.1\n",  # configparser's own error spans lines
     # each failed later, as a traceback or a silently wrong number
     "[data]\nsigma = 5.0\n",
     "[loss]\nsmoothing = 0.5\n",
     "[loss]\nsmoothing = 0\n",  # zero concentrations in dpn's target Dirichlet
+    "[loss]\nsmoothing = 1e-300\n",  # dpn's first steps overflowed
     "[train]\narch = 2 8 1\n[data]\nk = 1\n",
     "[data]\nn_per_class = 0\n",
     "[data]\nn_eval_id = 100\n",
-    "[data]\ncov_eval_eps = 1.0\n",
-    "[data]\neps_grid = 0 0.5 0.5\ncov_eval_eps = 0.5\n",
+    "[data]\neps_grid = 0 0.5 0.5\n",
+    "[data]\neps_grid = 0 1 0.5\n",
     "[train]\nlr0 = nan\n",
     "[train]\nseed = -1\n",
-    "[data]\neps_grid = 0 1.7e308\ncov_eval_eps = 0\n",
+    "[data]\neps_grid = 0 1.7e308\n",
     "[train]\nmomentum = 1.5\n",
     "[data]\nsigma = -0.75\n",
     "[DEFAULT]\nseed = 5\nlam = 9.0\n",
