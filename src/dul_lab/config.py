@@ -14,7 +14,6 @@ from typing import ClassVar
 import numpy as np
 
 from .data import check_sem_separation
-from .fileio import atomic_open
 from .losses import LossSpec
 from .nn import ACTIVATION
 
@@ -47,7 +46,7 @@ def substream(seed: int, purpose: int) -> np.random.Generator:
 
 
 def _key(section: str, default):
-    """A config key: its default and the [section] it is saved under."""
+    """A config key: its default and the [section] it is read from."""
     return field(default=default, metadata={"section": section})
 
 
@@ -179,14 +178,3 @@ def load_config(path) -> TrainConfig:
         # configparser messages span lines; keep the error to one line
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
 
-
-def save_config(cfg: TrainConfig, path) -> None:
-    sections = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        sections.setdefault(f.metadata["section"], {})[f.name] = (
-            " ".join(str(x) for x in v) if isinstance(v, tuple) else v)
-    parser = configparser.ConfigParser()
-    parser.read_dict(sections)
-    with atomic_open(path) as fh:
-        parser.write(fh)

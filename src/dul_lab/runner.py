@@ -177,7 +177,11 @@ def dilemma_csv(reports) -> str:
           r.id_acc, r.cov_acc] for method, r in reports.items()))
 
 
-def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
+# cases of the Pinsker, Bretagnolle-Huber, Lemma 2 and decomposition fuzz
+_FUZZ = 10_000
+
+
+def _fuzz_checks(cfg: TrainConfig) -> list:
     """The special-function recurrences and the Pinsker, Bretagnolle-Huber,
     Lemma 2 and uncertainty-decomposition fuzz; one row per check."""
     rng = substream(cfg.seed, cfgmod.STREAM_FUZZ)
@@ -192,33 +196,26 @@ def _fuzz_checks(cfg: TrainConfig, fuzz: int) -> list:
     checks.append(("digamma_recurrence", dig, 1e-12, dig <= 1e-12))
     checks.append(("trigamma_recurrence", tri, 1e-12, tri <= 1e-12))
 
-    # Pinsker / Bretagnolle-Huber / Lemma 2 / uncertainty decomposition
-    n_pinsker = n_bh = n_decomp = n_mi = 0
-    for _ in range(fuzz):
+    # Pinsker / Bretagnolle-Huber / Lemma 2 / uncertainty decomposition; a
+    # case counts unless its check holds, so a NaN is a violation
+    bad = dict.fromkeys(("pinsker", "bretagnolle_huber", "lemma2",
+                         "uncertainty_decomposition", "mutual_information_nonneg"), 0)
+    for _ in range(_FUZZ):
         k = int(rng.integers(2, 6))
         p = dmath.SimplexVector(rng.dirichlet(np.ones(k)))
         q = dmath.SimplexVector(rng.dirichlet(np.ones(k)))
-        if not thmod.pinsker_check(p, q)["holds"]:
-            n_pinsker += 1
-        if not thmod.bretagnolle_huber_check(p, q)["holds"]:
-            n_bh += 1
+        bad["pinsker"] += not thmod.pinsker_check(p, q)["holds"]
+        bad["bretagnolle_huber"] += not thmod.bretagnolle_huber_check(p, q)["holds"]
         alpha = dmath.DirichletParams(rng.uniform(0.05, 50.0, size=k))
         tu = dmath.total_uncertainty(alpha)
         au = dmath.expected_data_entropy(alpha)
         mi = dmath.mutual_information(alpha)
-        # a case counts unless its check holds, so a NaN is a violation
-        if not abs(tu - (au + mi)) <= 1e-12:
-            n_decomp += 1
-        if not mi >= -1e-12:
-            n_mi += 1
-    lemma2 = thmod.lemma2_check(rng.normal(0.0, 5.0, size=(fuzz, 4)))
-    n_lemma2 = lemma2["row_violations"]
-    checks.append(("pinsker", n_pinsker, 0, n_pinsker == 0))
-    checks.append(("bretagnolle_huber", n_bh, 0, n_bh == 0))
-    checks.append(("lemma2", n_lemma2, 0, n_lemma2 == 0 and lemma2["holds"]))
-    checks.append(("uncertainty_decomposition", n_decomp, 0, n_decomp == 0))
-    checks.append(("mutual_information_nonneg", n_mi, 0, n_mi == 0))
-    return checks
+        bad["uncertainty_decomposition"] += not abs(tu - (au + mi)) <= 1e-12
+        bad["mutual_information_nonneg"] += not mi >= -1e-12
+    lemma2 = thmod.lemma2_check(rng.normal(0.0, 5.0, size=(_FUZZ, 4)))
+    bad["lemma2"] = lemma2["row_violations"]
+    return checks + [(name, n, 0, n == 0 and (name != "lemma2" or lemma2["holds"]))
+                     for name, n in bad.items()]
 
 
 def _theorem1_check(cfg: TrainConfig, candidates) -> tuple:
@@ -228,19 +225,16 @@ def _theorem1_check(cfg: TrainConfig, candidates) -> tuple:
     pool = thmod.perturbed_pool(candidates, n_perturbed=8,
                                 seed=stream_key(cfg.seed, cfgmod.STREAM_POOL))
     _, cov, sem_test = make_eval_datasets(cfg)
-    n_thm = 0
-    for model in candidates:
-        for eps in (cfg.eps_grid[0], cfg.eps_grid[-1]):
-            if not thmod.theorem1_bound(cov[eps], sem_test, model, pool).holds:
-                n_thm += 1
+    n_thm = sum(not thmod.theorem1_bound(cov[eps], sem_test, model, pool).holds
+                for model in candidates for eps in (cfg.eps_grid[0], cfg.eps_grid[-1]))
     return ("theorem1_lower_bound", n_thm, 0, n_thm == 0)
 
 
-def verify(cfg: TrainConfig, fuzz: int = 10_000, quick: bool = False):
+def verify(cfg: TrainConfig, quick: bool = False):
     """Run the inequality and identity suites. Returns a list of
     (name, lhs, rhs, passed) tuples; a failed row means an implementation
     bug, not a modeling artifact."""
-    checks = _fuzz_checks(cfg, fuzz)
+    checks = _fuzz_checks(cfg)
     run_cfg = cfg.with_(pretrain_epochs=min(cfg.pretrain_epochs, 30),
                         finetune_epochs=min(cfg.finetune_epochs, 5)) \
         if quick else cfg

@@ -48,12 +48,12 @@ def experiment():
 
 @pytest.fixture(scope="module")
 def seed1_checks(experiment):
-    """The rows of verify(TrainConfig(), fuzz=10_000, quick=False), whose
+    """The rows of verify(TrainConfig(), quick=False), whose
     candidates are the models dilemma_table trains: here the fixture's
     seed-1 models."""
     run = experiment["runs"][1]
     assert run["cfg"] == TrainConfig()
-    checks = runner._fuzz_checks(run["cfg"], 10_000)
+    checks = runner._fuzz_checks(run["cfg"])
     checks.append(runner._theorem1_check(run["cfg"], list(run["models"].values())))
     return checks
 

@@ -6,8 +6,9 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from dul_lab import cli, config, fileio, metrics, runner, theory
-from dul_lab.config import TrainConfig, load_config, save_config, substream
+from dul_lab import cli, config, dirichlet, fileio, metrics, runner, theory
+from dul_lab.config import TrainConfig, load_config, substream
 from dul_lab.losses import LossSpec
 from dul_lab.metrics import EvalReport
 from dul_lab.nn import Batch, Mlp, load_checkpoint, mlp_init, save_checkpoint
@@ -28,16 +29,29 @@ TINY = TrainConfig(
 )
 
 
+TINY_INI = """\
+[train]
+arch = 2 8 3
+seed = 5
+pretrain_epochs = 3
+finetune_epochs = 2
+batch_id = 32
+batch_ood = 32
+
+[data]
+n_per_class = 40
+n_sem_train = 60
+n_sem_test = 60
+n_eval_id = 60
+"""
+
+
 def write_tiny_config(path):
-    save_config(TINY, path)
+    path.write_text(TINY_INI, encoding="utf-8")
     return str(path)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(arch=(2,))
-    with pytest.raises(ValueError):
-        TrainConfig(pretrain_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(lr0=-0.1)
     with pytest.raises(ValueError):
@@ -49,17 +63,14 @@ def test_config_validation():
     for bad in (dict(target_alpha0=3.0), dict(k=15),
                 dict(eps_grid=(1.0, 2.0, 3.0)), dict(eps_grid=(0.5, 0.0)),
                 dict(arch=(3, 8, 3)), dict(arch=(2, 8, 5)),
-                dict(k=4), dict(batch_id=0),
-                dict(batch_ood=0),
+                dict(k=4),
                 # values that used to fail only once a run reached them, or
                 # that evaluate snapped or truncated without a word
                 dict(smoothing=0.5), dict(smoothing=0.0),
-                dict(smoothing=-0.1), dict(lam=-1.0), dict(k=1, arch=(2, 8, 1)),
-                dict(n_per_class=0), dict(n_sem_train=0), dict(n_sem_test=0),
-                dict(n_eval_id=100), dict(n_eval_id=0), dict(sigma=5.0),
+                dict(smoothing=-0.1), dict(lam=-1.0),
+                dict(n_eval_id=100), dict(sigma=5.0),
                 dict(k=6, arch=(2, 8, 6)), dict(eps_grid=(0.0, -1.0)),
                 dict(lr0=float("nan")), dict(momentum=float("inf")),
-                dict(seed=-1), dict(seed=2**120),
                 dict(eps_grid=(0.0, float("nan"))),
                 dict(eps_grid=(0.0, 0.5, 0.5)), dict(eps_grid=(0.0, 1.0, 0.5)),
                 # unbounded, noise that large carries no class signal and
@@ -67,7 +78,6 @@ def test_config_validation():
                 # (logits must be finite)
                 dict(eps_grid=(0.0, 1e300)),
                 dict(eps_grid=(0.0, 1.7e308)),
-                dict(eps_grid=(0.0, np.nextafter(config.EPS_MAX, np.inf))),
                 # momentum failed at the first SGD step; a negative sigma
                 # generated mirrored noise without a word
                 dict(momentum=1.5), dict(momentum=-0.1), dict(sigma=-0.75)):
@@ -92,52 +102,45 @@ def test_dpn_target_concentration_bound():
             TrainConfig(**keys, smoothing=np.nextafter(t_min / 2, 0.0))
 
 
+TINY_FLOAT = np.nextafter(0.0, 1.0)
+
+
+# each bound of TrainConfig: keys at the edge value, which load, and the same
+# keys one step past it, which fail with the message
+BOUND_EDGES = [
+    (dict(arch=(2, 3)), dict(arch=(2,)), "arch needs"),
+    (dict(arch=(2, 1, 3)), dict(arch=(2, 0, 3)), "arch needs"),
+    (dict(batch_id=1), dict(batch_id=0), "batch_id"),
+    (dict(batch_ood=1), dict(batch_ood=0), "batch_id"),
+    (dict(pretrain_epochs=1), dict(pretrain_epochs=0), "epochs"),
+    (dict(finetune_epochs=1), dict(finetune_epochs=0), "epochs"),
+    (dict(lr0=TINY_FLOAT), dict(lr0=0.0), "learning rates"),
+    (dict(finetune_lr0=TINY_FLOAT), dict(finetune_lr0=0.0), "learning rates"),
+    (dict(momentum=0.0), dict(momentum=-TINY_FLOAT), "momentum"),
+    (dict(momentum=np.nextafter(1.0, 0.0)), dict(momentum=1.0), "momentum"),
+    (dict(n_per_class=1), dict(n_per_class=0), "n_per_class"),
+    (dict(n_sem_train=1), dict(n_sem_train=0), "n_sem_train"),
+    (dict(n_sem_test=1), dict(n_sem_test=0), "n_sem_test"),
+    (dict(n_eval_id=3), dict(n_eval_id=0), "n_eval_id"),
+    (dict(sigma=0.0), dict(sigma=-TINY_FLOAT), "sigma"),
+    (dict(eps_grid=(0.0, 1e6)), dict(eps_grid=(0.0, np.nextafter(1e6, 2e6))), "at most 1e"),
+    (dict(seed=0), dict(seed=-1), "seed"),
+    (dict(seed=2**120 - 1), dict(seed=2**120), "seed"),
+    (dict(k=2, arch=(2, 8, 2)), dict(k=1, arch=(2, 8, 1)), "k must be"),
+]
+
+
+@pytest.mark.parametrize("edge,past,message", BOUND_EDGES, ids=[
+    ",".join(f"{key}={value}" for key, value in edge.items()) for edge, _, _ in BOUND_EDGES])
+def test_config_bound_edges(edge, past, message):
+    cfg = TrainConfig(**edge)
+    assert all(getattr(cfg, key) == value for key, value in edge.items())
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**past)
+
+
 def test_config_round_trip(tmp_path):
-    cfg = TINY.with_(method="dul", lam=1.25, eps_grid=(0.0, 0.5))
-    path = tmp_path / "run.ini"
-    save_config(cfg, path)
-    assert load_config(path) == cfg
-
-
-DEFAULT_CONFIG_TEXT = """\
-[train]
-arch = 2 64 64 3
-seed = 1
-pretrain_epochs = 200
-finetune_epochs = 60
-lr0 = 0.05
-finetune_lr0 = 0.01
-momentum = 0.9
-batch_id = 128
-batch_ood = 256
-method = none
-
-[loss]
-lam = 3.0
-gamma = 30.0
-m_in = -12.0
-m_out = -4.0
-dul_margin = 0.4
-target_alpha0 = 15.0
-smoothing = 0.01
-
-[data]
-k = 3
-n_per_class = 500
-radius = 4.0
-sigma = 0.75
-n_sem_train = 1500
-n_sem_test = 1500
-n_eval_id = 1500
-eps_grid = 0.0 0.625 1.25 1.875 2.5 3.125
-
-"""
-
-
-def test_save_config_default_text(tmp_path):
-    path = tmp_path / "default.ini"
-    save_config(TrainConfig(), path)
-    assert path.read_bytes() == DEFAULT_CONFIG_TEXT.encode("utf-8")
+    assert load_config(write_tiny_config(tmp_path / "run.ini")) == TINY
 
 
 # one valid non-default value per key, plus the keys that must change with it
@@ -151,6 +154,22 @@ NON_DEFAULT = dict(
     n_eval_id=300, eps_grid=(0.0, 1.5, 3.125),
 )
 COMPANIONS = {"k": dict(arch=(2, 64, 64, 2))}
+# the same values as ini text, each key and its companions under their
+# sections, written as a person might: ints for floats, commas in a tuple
+NON_DEFAULT_INI = dict(
+    arch="[train]\narch = 2 16 8 3", seed="[train]\nseed = 7",
+    pretrain_epochs="[train]\npretrain_epochs = 5", finetune_epochs="[train]\nfinetune_epochs = 4",
+    lr0="[train]\nlr0 = 0.1", finetune_lr0="[train]\nfinetune_lr0 = 0.02",
+    momentum="[train]\nmomentum = 0.5", batch_id="[train]\nbatch_id = 64",
+    batch_ood="[train]\nbatch_ood = 32", method="[train]\nmethod = dul",
+    lam="[loss]\nlam = 1.5", gamma="[loss]\ngamma = 10", m_in="[loss]\nm_in = -10",
+    m_out="[loss]\nm_out = -3.0", dul_margin="[loss]\ndul_margin = 0.3",
+    target_alpha0="[loss]\ntarget_alpha0 = 20", smoothing="[loss]\nsmoothing = 5e-2",
+    k="[data]\nk = 2\n[train]\narch = 2, 64, 64, 2", n_per_class="[data]\nn_per_class = 100",
+    radius="[data]\nradius = 5", sigma="[data]\nsigma = .5", n_sem_train="[data]\nn_sem_train = 300",
+    n_sem_test="[data]\nn_sem_test = 200", n_eval_id="[data]\nn_eval_id = 300",
+    eps_grid="[data]\neps_grid = 0 1.5 3.125",
+)
 
 
 @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
@@ -158,7 +177,7 @@ def test_each_config_key_round_trips(tmp_path, name):
     cfg = TrainConfig(**{name: NON_DEFAULT[name], **COMPANIONS.get(name, {})})
     assert getattr(cfg, name) != getattr(TrainConfig(), name)
     path = tmp_path / "run.ini"
-    save_config(cfg, path)
+    path.write_text(NON_DEFAULT_INI[name] + "\n", encoding="utf-8")
     assert load_config(path) == cfg
 
 
@@ -317,7 +336,9 @@ def test_cov_sets_scale_one_noise_draw():
     id_eval, cov, _ = runner.make_eval_datasets(TINY)
     first = TINY.eps_grid[1]
     noise = (cov[first].points - id_eval.points) / first
-    assert np.all(noise != 0.0)
+    # the COV stream's own N(0, 1) draw, added
+    draw = substream(TINY.seed, config.STREAM_COV).standard_normal(noise.shape)
+    assert np.allclose(noise, draw, rtol=0.0, atol=1e-12)
     for eps, d in cov.items():
         assert np.array_equal(d.labels, id_eval.labels)
         assert np.allclose(d.points, id_eval.points + eps * noise, rtol=0.0, atol=1e-12)
@@ -459,7 +480,7 @@ def test_noise_sweep_rows():
 
 
 def test_verify_quick_all_pass():
-    checks = runner.verify(TINY, fuzz=300, quick=True)
+    checks = runner.verify(TINY, quick=True)
     names = [c[0] for c in checks]
     assert "theorem1_lower_bound" in names
     for name, lhs, rhs, ok in checks:
@@ -471,10 +492,10 @@ def test_dilemma_models_give_verify_its_theorem1_row():
     # of verify on dilemma_table's models are verify's rows; the reports
     # dilemma_table returns are each model's full evaluation
     models, reports = runner.dilemma_table(TINY)
-    checks = runner._fuzz_checks(TINY, 300)
+    checks = runner._fuzz_checks(TINY)
     checks.append(runner._theorem1_check(TINY, list(models.values())))
     assert runner.verify_csv(checks) == runner.verify_csv(
-        runner.verify(TINY, fuzz=300, quick=False))
+        runner.verify(TINY, quick=False))
     assert list(reports) == list(models) == list(config.METHODS)
     for method, model in models.items():
         assert reports[method].to_csv() == runner.evaluate(TINY, model).to_csv()
@@ -502,7 +523,7 @@ def test_verify_lemma2_row_reports_failing_row_count(monkeypatch):
     monkeypatch.setattr(theory, "oe_per_sample", lambda f: np.log(f.shape[1])
                         + 0.5 * (real(f) - np.log(f.shape[1])))
     checks = {name: (lhs, ok) for name, lhs, _, ok in
-              runner.verify(TINY, fuzz=300, quick=True)}
+              runner.verify(TINY, quick=True)}
     lhs, ok = checks["lemma2"]
     assert lhs > 0 and not ok
 
@@ -518,6 +539,80 @@ def test_verify_counts_a_nan_case_as_a_violation(tmp_path, monkeypatch):
             for line in (out / "verify.csv").read_text(encoding="utf-8").splitlines()[1:]}
     failed = {name for name, ok in rows.items() if ok == "0"}
     assert failed == {"uncertainty_decomposition", "mutual_information_nonneg"}
+
+
+@pytest.mark.parametrize("module,name,fake,failed", [
+    (theory, "pinsker_check", lambda real: lambda p, q: {"holds": False},
+     {"pinsker": 10_000}),
+    (theory, "bretagnolle_huber_check", lambda real: lambda p, q: {"holds": False},
+     {"bretagnolle_huber": 10_000}),
+    # MI = TU - AU negative on every case, the decomposition kept
+    (dirichlet, "total_uncertainty", lambda real: lambda d: dirichlet.expected_data_entropy(d)
+     - 1.0, {"mutual_information_nonneg": 10_000}),
+    # TU - (AU + MI) off on every case, MI still >= 0
+    (dirichlet, "mutual_information", lambda real: lambda d: real(d) + 1.0,
+     {"uncertainty_decomposition": 10_000}),
+    (dirichlet, "mutual_information", lambda real: lambda d: math.nan,
+     {"uncertainty_decomposition": 10_000, "mutual_information_nonneg": 10_000}),
+    # quick verify bounds three candidates at two eps each
+    (theory, "theorem1_bound", lambda real: lambda *a: replace(real(*a), holds=False),
+     {"theorem1_lower_bound": 6}),
+], ids=["pinsker", "bretagnolle_huber", "mi_negative", "decomposition", "nan", "theorem1"])
+def test_each_violation_counter_counts_every_failing_case(monkeypatch, module, name,
+                                                          fake, failed):
+    """A check made to fail on every case fails its own row, whose lhs is
+    the number of cases: 10,000 per fuzz check on every verify run."""
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    checks = runner.verify(TINY, quick=True)
+    assert {row: lhs for row, lhs, _, ok in checks if not ok} == failed
+
+
+@pytest.mark.parametrize("residual,tu,mi,failed", [
+    (1e-12, 1e-12, 0.0, set()),
+    (1e-12, np.nextafter(1e-12, 1.0), 0.0, {"uncertainty_decomposition"}),
+    (1e-12, -1e-12, -1e-12, set()),
+    (1e-12, np.nextafter(-1e-12, -1.0), np.nextafter(-1e-12, -1.0),
+     {"mutual_information_nonneg"}),
+    (np.nextafter(1e-12, 1.0), 0.0, 0.0, {"digamma_recurrence", "trigamma_recurrence"}),
+])
+def test_fuzz_tolerance_edges(monkeypatch, residual, tu, mi, failed):
+    """The recurrences' worst scaled residual, TU - (AU + MI) and MI may each
+    be off by 1e-12 and no more (AU = 0)."""
+    monkeypatch.setattr(runner, "np", SimpleNamespace(**{**vars(np), "max": lambda a: residual}))
+    monkeypatch.setattr(dirichlet, "total_uncertainty", lambda d: tu)
+    monkeypatch.setattr(dirichlet, "expected_data_entropy", lambda d: 0.0)
+    monkeypatch.setattr(dirichlet, "mutual_information", lambda d: mi)
+    assert {name for name, _, _, ok in runner._fuzz_checks(TINY) if not ok} == failed
+
+
+@pytest.mark.parametrize("row,name", [("digamma_recurrence", "digamma"),
+                                      ("trigamma_recurrence", "zeta")])
+@pytest.mark.parametrize("fault", [lambda real, *a: real(*a) + 1.5e-12 * np.asarray(a[-1]),
+                                   lambda real, *a: real(*a) * (1.0 + 1.5e-12)],
+                         ids=["absolute", "relative"])
+def test_recurrence_rows_report_the_worst_scaled_residual(monkeypatch, row, name, fault):
+    """A fault that adds 1.5e-12 to each recurrence residual (absolute), or
+    1.5e-12 times its 1/x or 1/x**2 term (relative), reads 1.5e-12 in the
+    row: the residual is scaled by max(1, that term), and the worst case is
+    reported and fails the 1e-12 tolerance."""
+    real = getattr(sp, name)
+    monkeypatch.setattr(dirichlet, "sp", SimpleNamespace(**{
+        **{n: getattr(sp, n) for n in ("gammaln", "digamma", "zeta")},
+        name: lambda *a: fault(real, *a)}))
+    rows = {check: (lhs, rhs, ok) for check, lhs, rhs, ok in runner._fuzz_checks(TINY)}
+    assert [check for check, (_, _, ok) in rows.items() if not ok] == [row]
+    assert rows[row] == (pytest.approx(1.5e-12, rel=0.01), 1e-12, False)
+
+
+def test_quick_verify_caps_the_epochs(monkeypatch):
+    """--quick trains at most 30 pretrain and 5 finetune epochs."""
+    seen = []
+    real = runner._train_methods
+    monkeypatch.setattr(runner, "_train_methods", lambda cfg, methods: seen.append(
+        (cfg.pretrain_epochs, cfg.finetune_epochs)) or real(cfg, methods))
+    for cfg in (TINY, TINY.with_(pretrain_epochs=40, finetune_epochs=7)):
+        runner.verify(cfg, quick=True)
+    assert seen == [(3, 2), (30, 5)]
 
 
 # Run in a fresh interpreter: records whether scipy.special is loaded after
@@ -626,9 +721,8 @@ def _cut_open(*args, **kwargs):
 
 @pytest.mark.parametrize("write", [
     lambda p: save_checkpoint(mlp_init((2, 4, 3), seed=1), p),
-    lambda p: save_config(TINY, p),
     lambda p: cli._write_text(p, "check,lhs,rhs,pass\n"),
-], ids=["checkpoint", "config", "report"])
+], ids=["checkpoint", "report"])
 def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
     path = tmp_path / "artifact"
     write(path)
