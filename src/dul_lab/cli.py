@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="train the base classifier on ID data")
     ft = sub.add_parser("finetune", parents=[common],
                         help="finetune a pretrained checkpoint")
-    ft.add_argument("--method", choices=METHODS[1:], default=None,
+    ft.add_argument("--method", choices=tuple(METHODS)[1:], default=None,
                     help="override the config method")
     ft.add_argument("--checkpoint", type=str, default=None,
                     help="pretrained checkpoint (default: <out>/pretrained.ckpt)")
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     cfg = _load_cfg(args)
     try:
         return _run(args, cfg)
-    except (_UsageError, ValueError, FloatingPointError, OSError) as exc:
+    except (_UsageError, ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2 if isinstance(exc, _UsageError) else 1
 

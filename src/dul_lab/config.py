@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -21,7 +21,21 @@ from .nn import ACTIVATION
 # guards no overflow, since tanh bounds every hidden unit by 1 and so keeps
 # the logits finite whenever the first layer's sums are.
 EPS_MAX = 1e6
-METHODS = ("none", "oe", "energy", "dpn", "dul")
+
+
+class Method(NamedTuple):
+    kind: str  # its objective, a LossSpec kind
+    detector: str  # its natural detector, a metrics score
+
+
+# each method's row; "none" is the pretrained model, which the others finetune
+METHODS = {
+    "none": Method("ce", "msp"),
+    "oe": Method("oe", "strength"),
+    "energy": Method("energy_margin", "energy"),
+    "dpn": Method("dpn", "diffent"),
+    "dul": Method("dul", "diffent"),
+}
 
 # substream purposes for the counter-based RNG (Philox, key = stream_key)
 STREAM_INIT = 0
@@ -43,6 +57,17 @@ def stream_key(seed: int, purpose: int) -> int:
 def substream(seed: int, purpose: int) -> np.random.Generator:
     """Philox counter-based generator; substreams are disjoint by key."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, purpose)))
+
+
+def _dpn_t_min(finetune_lr0: float, layers: int) -> float:
+    """The least dpn target concentration t that loads, for `layers` weight
+    layers. The smallest t gives each off-label logit the gradient
+    -digamma(t) ~ 1/t, so before tanh saturates a step moves the top layer
+    by about lr/t and each layer below by lr/t times the ones above: within
+    L steps the bottom of L layers by (lr/t)^(2^(L-1)). That and 1/t must
+    fit in half of float64's exponent range (README)."""
+    big = np.finfo(float).max
+    return max(finetune_lr0 * big ** -(0.5 ** layers), big ** -0.5)
 
 
 def _key(section: str, default):
@@ -105,7 +130,7 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:  # sgd_step's rule
             raise ValueError("momentum must be in [0, 1)")
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}")
         if min(self.n_per_class, self.n_sem_train, self.n_sem_test) < 1:
             raise ValueError("n_per_class, n_sem_train and n_sem_test must be >= 1")
         if self.n_eval_id < 1 or self.n_eval_id % self.k:
@@ -124,13 +149,8 @@ class TrainConfig:
         # dilemma_table and the full verify run dpn whatever method says
         if self.target_alpha0 <= self.k:
             raise ValueError("target_alpha0 must exceed k")
-        # dpn's smallest target concentration t gives each off-label logit the
-        # gradient -digamma(t) ~ 1/t, so before tanh saturates a step moves the
-        # top layer by about lr/t and each layer below by lr/t times the ones
-        # above: within L steps the bottom of L layers by (lr/t)^(2^(L-1)). That
-        # and 1/t must fit in half of float64's exponent range (README).
-        t, big = self.target_alpha0 * self.smoothing / self.k, np.finfo(float).max
-        t_min = max(self.finetune_lr0 * big ** -(0.5 ** (len(self.arch) - 1)), big ** -0.5)
+        t = self.target_alpha0 * self.smoothing / self.k
+        t_min = _dpn_t_min(self.finetune_lr0, len(self.arch) - 1)
         if t < t_min:
             raise ValueError(f"target_alpha0 * smoothing / k = {t:.3g}, dpn's smallest "
                              f"target concentration, must be at least {t_min:.3g}")

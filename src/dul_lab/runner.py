@@ -17,14 +17,8 @@ from .losses import LossSpec
 from .metrics import EvalReport, ScoreSet, csv_table
 from .nn import Batch, Mlp, cosine_lr, mlp_init, sgd_step
 
-# each method's natural detector
-NATURAL_SCORE = {
-    "none": "msp",
-    "oe": "strength",
-    "energy": "energy",
-    "dpn": "diffent",
-    "dul": "diffent",
-}
+# a view of config.METHODS that the benchmark under perfbench/ reads
+NATURAL_SCORE = {method: row.detector for method, row in METHODS.items()}
 
 
 def make_datasets(cfg: TrainConfig):
@@ -56,8 +50,7 @@ def make_eval_datasets(cfg: TrainConfig):
 
 
 def _loss_spec(cfg: TrainConfig) -> LossSpec:
-    return cfg.loss_spec(
-        {"oe": "oe", "energy": "energy_margin", "dpn": "dpn", "dul": "dul"}[cfg.method])
+    return cfg.loss_spec(METHODS[cfg.method].kind)
 
 
 def _train_loop(start: Mlp, cfg: TrainConfig, spec: LossSpec, epochs: int,
@@ -90,7 +83,7 @@ def _train_loop(start: Mlp, cfg: TrainConfig, spec: LossSpec, epochs: int,
 def pretrain(cfg: TrainConfig) -> Mlp:
     """Cross-entropy training on ID blobs."""
     return _train_loop(mlp_init(cfg.arch, seed=stream_key(cfg.seed, cfgmod.STREAM_INIT)),
-                       cfg, LossSpec(kind="ce"), cfg.pretrain_epochs, cfg.lr0)
+                       cfg, LossSpec(METHODS["none"].kind), cfg.pretrain_epochs, cfg.lr0)
 
 
 def finetune(cfg: TrainConfig, pretrained: Mlp) -> Mlp:
@@ -165,7 +158,7 @@ def _train_methods(cfg: TrainConfig, methods) -> dict:
 def dilemma_table(cfg: TrainConfig):
     """Pretrain, finetune each method, and evaluate every model. Returns the
     models and their full reports, each by method."""
-    models = _train_methods(cfg, METHODS[1:])
+    models = _train_methods(cfg, tuple(METHODS)[1:])
     return models, {method: evaluate(cfg, model) for method, model in models.items()}
 
 
@@ -173,7 +166,7 @@ def dilemma_csv(reports) -> str:
     """Each method's natural-detector metrics next to its accuracies."""
     return csv_table(
         ("method", "score", "fpr95", "auroc", "aupr", "id_acc", "cov_acc"),
-        ([method, NATURAL_SCORE[method], *r.detection[NATURAL_SCORE[method]],
+        ([method, METHODS[method].detector, *r.detection[METHODS[method].detector],
           r.id_acc, r.cov_acc] for method, r in reports.items()))
 
 
@@ -239,7 +232,7 @@ def verify(cfg: TrainConfig, quick: bool = False):
                         finetune_epochs=min(cfg.finetune_epochs, 5)) \
         if quick else cfg
     candidates = list(_train_methods(
-        run_cfg, ("oe", "dul") if quick else METHODS[1:]).values())
+        run_cfg, ("oe", "dul") if quick else tuple(METHODS)[1:]).values())
     checks.append(_theorem1_check(run_cfg, candidates))
     return checks
 

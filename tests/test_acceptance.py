@@ -18,7 +18,7 @@ from scipy import special as sp
 from scipy.special import gammaln, softmax
 from scipy.stats import spearmanr
 
-from dul_lab import cli, dirichlet as dmath, losses, metrics, runner
+from dul_lab import cli, config, dirichlet as dmath, losses, metrics, runner
 from dul_lab.config import TrainConfig
 from dul_lab.dirichlet import DirichletParams
 from dul_lab.losses import LossSpec
@@ -60,7 +60,7 @@ def seed1_checks(experiment):
 
 def _fpr(report, method):
     """FPR95 under a finetuning method's natural detector."""
-    return report.detection[runner.NATURAL_SCORE[method]][0]
+    return report.detection[config.METHODS[method].detector][0]
 
 
 def test_criterion_01_special_functions():

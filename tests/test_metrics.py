@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import softmax
+from scipy.special import logsumexp, softmax
+from scipy.stats import dirichlet
 
 from dul_lab import metrics
 from dul_lab.metrics import EvalReport, ScoreSet
@@ -87,6 +88,25 @@ def test_score_logits_sign_conventions():
         assert s[0] < s[1], method
     with pytest.raises(ValueError):
         metrics.score_logits(f, "entropy")
+
+
+def test_each_score_is_its_formula():
+    """Each detector against its formula, by scipy, in SCORE_METHODS's
+    order, the order evaluate fills a report's detection table in; so a
+    swapped, re-signed or reordered entry of metrics.SCORES fails."""
+    f = np.array([[2.0, -1.0, 0.5], [0.0, 0.0, 0.0], [-3.0, 4.0, 1.0], [7.0, 6.5, -2.0]])
+    alpha = np.maximum(f, 0.0) + 1.0
+    want = {
+        "msp": -softmax(f, axis=1).max(axis=1),
+        "maxlogit": -f.max(axis=1),
+        "energy": -logsumexp(f, axis=1),
+        "diffent": [dirichlet(a).entropy() for a in alpha],
+        "strength": -alpha.sum(axis=1),
+    }
+    assert metrics.SCORE_METHODS == tuple(want)
+    for method, value in want.items():
+        np.testing.assert_allclose(metrics.score_logits(f, method), value, rtol=1e-12,
+                                   err_msg=method)
 
 
 def test_accuracy():
